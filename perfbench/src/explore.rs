@@ -10,16 +10,21 @@ use std::time::Instant;
 use pdf_core::{CampaignBudget, DriverConfig, FuzzReport, Fuzzer, StopReason};
 use pdf_runtime::{BranchSet, Subject};
 
-use crate::plan::{rotate, Plan, MIN_ROUNDS};
-use crate::stats::{geomean, median, mix, Outcome};
+use crate::plan::Plan;
+use crate::stats::{median, mix, total_rate, Outcome};
 use crate::trace::{identity_table, ns_per_call, span_of, Registry, Row};
-use crate::{latency_metrics, probe_layers, Run};
+use crate::{latency_metrics, not_run, sink_layers, Run, FLEET_LAYERS, GEN_LAYERS, SERVE_LAYERS};
 
 /// Executions per `run_until` slice; the queue depth is sampled at each
 /// pause.
 const SLICE: u64 = 500;
 
-/// Seed of the set-up warm-up campaigns.
+/// One round of campaigns outlasts the run time, so a run times one
+/// round and then every `REPEAT_EVERY`-th campaign again, also timed,
+/// to check that it reproduces.
+const REPEAT_EVERY: usize = 8;
+
+/// Seed of the warm-up campaign and the set-up repetitions.
 const WARM_UP_SEED: u64 = 0x5741_524d; // "WARM"
 
 pub fn mjs() -> Subject {
@@ -62,26 +67,23 @@ pub fn run(ctx: &Run, out: &mut Outcome) {
         .map(|i| mix(ctx.seed, i))
         .collect();
 
-    // Set-up: build the driver and run one warm-up campaign, so page
-    // faults and cold caches land here. The warm-up seeds are fixed, so
+    // Untimed warm-up: one whole campaign with a fixed seed, so page
+    // faults and cold caches land before anything is timed.
+    black_box(campaign(subject, WARM_UP_SEED, plan.explore_execs, SLICE, |_| {}).digest());
+
+    // Set-up: `Fuzzer::new` and its first slice, with fixed seeds, so
     // set-up does the same work whatever the workload seed.
     let setup: Vec<f64> = (0..plan.setups as u64)
         .map(|r| {
             let t = Instant::now();
-            let warm = campaign(
-                subject,
-                mix(WARM_UP_SEED, r),
-                plan.explore_execs,
-                SLICE,
-                |_| {},
-            );
-            black_box(warm.digest());
+            let mut fuzzer = Fuzzer::new(subject, config(mix(WARM_UP_SEED, r), plan.explore_execs));
+            fuzzer.run_until(&CampaignBudget::execs(SLICE));
+            black_box(fuzzer.execs());
             t.elapsed().as_secs_f64()
         })
         .collect();
     out.put("setup_s", median(&setup));
 
-    out.items = seeds.len() as u64;
     let mut first: Vec<Option<FuzzReport>> = vec![None; seeds.len()];
     let mut check = |i: usize, report: FuzzReport, out: &mut Outcome, what: &str| match &first[i] {
         None => first[i] = Some(report),
@@ -97,37 +99,57 @@ pub fn run(ctx: &Run, out: &mut Outcome) {
     };
 
     let (samples, elapsed) = if ctx.trace {
-        // One untraced pass for reference, then the same pass traced.
-        let (untraced, _) = rotate(seeds.len(), 0.0, 1, |i| {
-            let r = campaign(subject, seeds[i], plan.explore_execs, SLICE, |_| {});
-            check(i, r, out, "untraced");
-        });
-        let registry = Registry::install();
-        let tracer = &ctx.tracer;
+        // The first half of the campaigns, each once untraced and once
+        // traced (so the run stays well inside its time limit); even
+        // campaigns untraced first, odd ones traced first, so drift
+        // during the run weighs on both passes alike.
+        let traced_seeds = &seeds[..seeds.len().div_ceil(2)];
+        let registry = Registry::new();
         let mut depths = Vec::new();
-        let (traced, _) = rotate(seeds.len(), 0.0, 1, |i| {
-            let t = Instant::now();
-            let r = campaign(subject, seeds[i], plan.explore_execs, SLICE, |q| {
-                depths.push(q as f64)
-            });
-            tracer.record("core.campaign", i as u64, None, t, Instant::now());
-            check(i, r, out, "traced");
-        });
+        let mut traced_s = vec![0.0; traced_seeds.len()];
+        let mut untraced_s = vec![0.0; traced_seeds.len()];
+        for (i, &seed) in traced_seeds.iter().enumerate() {
+            for traced in [i % 2 == 1, i % 2 == 0] {
+                let t = Instant::now();
+                let report = if traced {
+                    let _scope = registry.install();
+                    let r = campaign(subject, seed, plan.explore_execs, SLICE, |q| {
+                        depths.push(q as f64)
+                    });
+                    ctx.tracer
+                        .record("core.campaign", i as u64, None, t, Instant::now());
+                    traced_s[i] = t.elapsed().as_secs_f64();
+                    r
+                } else {
+                    let r = campaign(subject, seed, plan.explore_execs, SLICE, |_| {});
+                    untraced_s[i] = t.elapsed().as_secs_f64();
+                    r
+                };
+                check(i, report, out, if traced { "traced" } else { "untraced" });
+            }
+        }
         let snap = registry.reg.snapshot();
-        drop(registry);
-        let untraced_s: f64 = untraced.iter().flatten().sum();
-        let traced_s: f64 = traced.iter().flatten().sum();
+        let traced_total: f64 = traced_s.iter().sum();
+        let untraced_total: f64 = untraced_s.iter().sum();
         let reports: Vec<&FuzzReport> = first.iter().flatten().collect();
-        traced_layers(ctx, out, &snap, &reports, traced_s, untraced_s, &depths);
-        (traced, traced_s)
+        traced_layers(out, &snap, &reports, traced_total, untraced_total, &depths);
+        (traced_s.iter().map(|&s| vec![s]).collect(), traced_total)
     } else {
-        rotate(seeds.len(), ctx.seconds, MIN_ROUNDS, |i| {
+        let order = (0..seeds.len()).chain((0..seeds.len()).step_by(REPEAT_EVERY));
+        let mut samples = vec![Vec::new(); seeds.len()];
+        let start = Instant::now();
+        for i in order {
+            let t = Instant::now();
             let r = campaign(subject, seeds[i], plan.explore_execs, SLICE, |_| {});
+            samples[i].push(t.elapsed().as_secs_f64());
+            out.window(t);
             check(i, r, out, "repeat");
-        })
+        }
+        (samples, start.elapsed().as_secs_f64())
     };
 
     let reports: Vec<&FuzzReport> = first.iter().flatten().collect();
+    out.items = reports.len() as u64;
     let mut branches = BranchSet::new();
     let mut valid: BTreeSet<&[u8]> = BTreeSet::new();
     for r in &reports {
@@ -145,18 +167,16 @@ pub fn run(ctx: &Run, out: &mut Outcome) {
         }
     }
 
-    // The rate is the geometric mean over campaigns of each campaign's
-    // rate (from the median of its repeats): stalled campaigns run twice
-    // as fast as productive ones, and every campaign weighs the same.
-    let rates: Vec<f64> = reports
-        .iter()
-        .zip(&samples)
-        .map(|(r, s)| r.execs as f64 / median(s))
-        .collect();
+    // Executions over every timed campaign run per second of those runs,
+    // so each campaign weighs by its duration: the host's speed swings
+    // move a short campaign's rate as much as a long one's, and a mean
+    // of rates that weighs them alike is the noisier figure.
     let runs: usize = samples.iter().map(Vec::len).sum();
-    let rate = geomean(&rates);
+    let rate = total_rate(reports.iter().map(|r| r.execs), &samples);
     out.put("execs_per_s", rate);
-    // Every input pFuzzer executes is one it generated.
+    // No grammar generation runs here (flood-mjs measures it): every
+    // input the driver executes is a candidate it generated, so this is
+    // execs_per_s again.
     out.put("gen_inputs_per_s", rate);
     out.put("valid_branches", branches.len() as f64);
     out.put("valid_inputs", valid.len() as f64);
@@ -165,14 +185,13 @@ pub fn run(ctx: &Run, out: &mut Outcome) {
     out.put("campaigns_per_s", runs as f64 / elapsed);
     out.note(format!(
         "explore-mjs: {} campaigns x {} execs, {runs} campaign runs in {elapsed:.3} s",
-        seeds.len(),
+        reports.len(),
         plan.explore_execs
     ));
 }
 
 /// Per-layer metrics and the identity table of the traced pass.
 fn traced_layers(
-    ctx: &Run,
     out: &mut Outcome,
     snap: &pdf_obs::MetricsSnapshot,
     reports: &[&FuzzReport],
@@ -213,8 +232,10 @@ fn traced_layers(
         snap.hist("exec.input_len")
             .map_or(0.0, |h| crate::stats::hist_quantile(h, 0.5)),
     );
-    out.put("gen.generate.share", 0.0);
     out.put("obs.trace_overhead", wall_s / untraced_s);
+    not_run(out, &GEN_LAYERS);
+    not_run(out, &FLEET_LAYERS);
+    not_run(out, &SERVE_LAYERS);
 
     let rows = vec![
         Row {
@@ -261,13 +282,5 @@ fn traced_layers(
         .iter()
         .flat_map(|r| r.valid_inputs.iter().cloned())
         .collect();
-    let candidates = crate::probe::with_prefixes(&valid);
-    probe_layers(
-        ctx,
-        out,
-        &[(subject, candidates)],
-        &[(subject, valid)],
-        true,
-        true,
-    );
+    sink_layers(out, &[(subject, crate::probe::with_prefixes(&valid))]);
 }

@@ -1,20 +1,30 @@
-//! Workload sizes, and the timed loop the workloads share.
+//! Workload sizes, and flood-mjs's timed loop.
 
 use std::time::Instant;
 
-/// Timed rounds every run makes at least: the second checks the first.
+/// Timed rounds a flood-mjs run makes at least: the second checks the
+/// first.
 pub const MIN_ROUNDS: usize = 2;
 
-/// Every size knob of the two workloads. [`Plan::full`] is what the
+/// Every size knob of the workloads. [`Plan::full`] is what the
 /// benchmark runs; [`Plan::tiny`] is the smoke test's budget.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// Set-up repetitions whose median is `setup_s` (explore-mjs
-    /// warm-ups; serve-mix repeats its sub-millisecond set-up 5× as often).
+    /// Set-up repetitions whose median is `setup_s` (explore-mjs and
+    /// serve-mix; their set-up is a few milliseconds).
     pub setups: usize,
     /// explore-mjs: campaigns per run and executions per campaign.
     pub explore_campaigns: usize,
     pub explore_execs: u64,
+    /// flood-mjs: set-up repetitions (each explores, mines and
+    /// compiles), the fixed-seed exploration campaigns and their budget,
+    /// and the evolve runs per round with their epochs and batch size.
+    pub flood_setups: usize,
+    pub flood_explore_campaigns: usize,
+    pub flood_explore_execs: u64,
+    pub flood_runs: usize,
+    pub flood_epochs: usize,
+    pub flood_batch: usize,
     /// serve-mix: execution budget of each campaign and campaign specs in
     /// the rotation (cycling the five subjects).
     pub serve_execs: u64,
@@ -24,9 +34,15 @@ pub struct Plan {
 impl Plan {
     pub fn full() -> Plan {
         Plan {
-            setups: 25,
-            explore_campaigns: 192,
-            explore_execs: 2_000,
+            setups: 50,
+            explore_campaigns: 64,
+            explore_execs: 20_000,
+            flood_setups: 5,
+            flood_explore_campaigns: 4,
+            flood_explore_execs: 10_000,
+            flood_runs: 32,
+            flood_epochs: 8,
+            flood_batch: 1024,
             serve_execs: 8_000,
             serve_specs: 80,
         }
@@ -37,6 +53,12 @@ impl Plan {
             setups: 2,
             explore_campaigns: 2,
             explore_execs: 1_500,
+            flood_setups: 1,
+            flood_explore_campaigns: 2,
+            flood_explore_execs: 3_000,
+            flood_runs: 2,
+            flood_epochs: 2,
+            flood_batch: 64,
             serve_execs: 300,
             serve_specs: 5,
         }

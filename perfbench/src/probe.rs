@@ -1,21 +1,11 @@
-//! Ceiling probes: each layer's public entry point timed in isolation on
-//! inputs the workload itself produced. A traced run uses them for the
-//! per-call cost of layers the workload does not itself exercise, and
-//! for the per-sink exec cost on every workload.
+//! Ceiling probe of the exec layer: each sink's public entry point
+//! timed in isolation on inputs the workload itself produced, for the
+//! per-sink exec cost every traced run reports.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use pdf_core::DriverConfig;
-use pdf_fleet::{Fleet, FleetConfig};
-use pdf_gen::{CompiledGrammar, EvolveConfig, GenBatch};
-use pdf_grammar::GrammarFile;
-use pdf_runtime::{ExecArena, Rng, Subject};
-
-use crate::trace::Registry;
-
-/// Depth bound for grammar expansion (the combined campaign's default).
-const MAX_DEPTH: usize = 10;
+use pdf_runtime::{ExecArena, Subject};
 
 /// Executions each sink probe makes, spread over the corpus.
 const SINK_CALLS: usize = 20_000;
@@ -68,64 +58,4 @@ pub fn sinks(subject: Subject, corpus: &[Vec<u8>]) -> SinkCost {
         fast_failure_ns,
         coverage_ns: per_call(t),
     }
-}
-
-/// Inputs per epoch of the generation probe.
-const GEN_BATCH: usize = 512;
-
-/// What the generation probe measured.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GenCost {
-    pub mine_s: f64,
-    pub generate_ns_per_input: f64,
-    pub valid_ratio: f64,
-    pub fresh_ratio: f64,
-}
-
-/// Mines `corpus`, compiles the grammar, times `generate_batch` on it and
-/// floods it for two epochs. `None` when the corpus yields no grammar.
-pub fn gen(subject: Subject, corpus: &[Vec<u8>], seed: u64) -> Option<GenCost> {
-    let t = Instant::now();
-    let grammar = pdf_grammar::mine_corpus(subject, corpus);
-    let mine_s = t.elapsed().as_secs_f64();
-    if grammar.alts(pdf_grammar::START).is_empty() {
-        return None;
-    }
-    let compiled = CompiledGrammar::compile(&GrammarFile::uniform(grammar), MAX_DEPTH).ok()?;
-    let n = 4 * GEN_BATCH;
-    let mut generator = compiled.clone();
-    let mut batch = GenBatch::new();
-    let t = Instant::now();
-    generator.generate_batch(&mut Rng::new(seed), &mut batch, n);
-    black_box(batch.len());
-    let generate_ns_per_input = t.elapsed().as_nanos() as f64 / n as f64;
-    let cfg = EvolveConfig {
-        seed,
-        epochs: 2,
-        batch: GEN_BATCH,
-        ..EvolveConfig::default()
-    };
-    let report = pdf_gen::evolve(subject, compiled, cfg);
-    let generated = report.generated.max(1) as f64;
-    Some(GenCost {
-        mine_s,
-        generate_ns_per_input,
-        valid_ratio: report.generated_valid as f64 / generated,
-        fresh_ratio: report.distinct_valid.len() as f64 / generated,
-    })
-}
-
-/// Mean nanoseconds of one fleet coordinator sync, from a small 2-shard
-/// fleet on `subject` with the program's `fleet.sync_ns` histogram.
-pub fn fleet_sync_ns(subject: Subject, seed: u64) -> f64 {
-    let registry = Registry::install();
-    let base = DriverConfig {
-        seed,
-        max_execs: 4_000,
-        ..DriverConfig::default()
-    };
-    let fleet = Fleet::new(subject, FleetConfig::new(2, 500, base)).expect("valid fleet config");
-    black_box(fleet.run().digest());
-    let h = &registry.reg.fleet_sync_ns;
-    h.sum() as f64 / h.count().max(1) as f64
 }

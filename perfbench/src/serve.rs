@@ -10,6 +10,10 @@
 //! cost on a shared disk swings by a quarter from run to run. The traced
 //! run adds a persistent twin session and reports the difference as
 //! `serve.persist_ms_per_campaign`.
+//!
+//! The traced run's in-memory session traces every other campaign, so
+//! `obs.trace_overhead` compares traced and untraced campaigns served
+//! side by side under the same load.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -24,7 +28,7 @@ use pdf_serve::{CampaignSpec, CampaignStatus, Daemon, DaemonConfig, Phase, Serve
 
 use crate::stats::{median, mix, Outcome};
 use crate::trace::{identity_table, ns_per_call, span_of, span_prefix_ns, Row, Tracer};
-use crate::{latency_metrics, probe_layers, Run};
+use crate::{latency_metrics, not_run, sink_layers, Run, GEN_LAYERS};
 
 const SUBJECTS: [&str; 5] = ["ini", "csv", "cjson", "tinyC", "mjs"];
 
@@ -95,12 +99,24 @@ impl Service {
     }
 }
 
+/// One finished campaign as a client saw it.
+#[derive(Debug)]
+pub struct Served {
+    /// Index of its spec in the rotation.
+    pub spec: usize,
+    pub status: CampaignStatus,
+    /// Submit to `Done`, in ms.
+    pub latency_ms: f64,
+    pub submitted: Instant,
+    pub done: Instant,
+    /// Whether the benchmark's tracer recorded its spans.
+    pub traced: bool,
+}
+
 /// What one closed-loop session observed.
 #[derive(Debug, Default)]
 pub struct Session {
-    /// Per finished campaign: spec index, final status, submit-to-`Done`
-    /// latency in ms.
-    pub campaigns: Vec<(usize, CampaignStatus, f64)>,
+    pub campaigns: Vec<Served>,
     pub submit_ms: Vec<f64>,
     /// How long after `Done` the client's `watch` returned, in ms.
     pub watch_lag_ms: Vec<f64>,
@@ -112,13 +128,25 @@ pub struct Session {
 
 impl Session {
     pub fn latencies(&self) -> Vec<f64> {
-        self.campaigns.iter().map(|c| c.2).collect()
+        self.campaigns.iter().map(|c| c.latency_ms).collect()
+    }
+
+    /// Latencies of the campaigns that were (or were not) traced.
+    pub fn latencies_traced(&self, traced: bool) -> Vec<f64> {
+        self.campaigns
+            .iter()
+            .filter(|c| c.traced == traced)
+            .map(|c| c.latency_ms)
+            .collect()
     }
 }
 
 /// Drives `clients` closed-loop clients against `service` until
 /// `seconds` have passed and at least `min_campaigns` were submitted. A
-/// prober client pings every 20 ms when `probe_rtt` is set.
+/// prober client pings every 20 ms when `probe_rtt` is set. With a
+/// `tracer`, every other campaign records its spans: submission `k`
+/// is traced when its spec index plus its pass over the rotation is
+/// even, so each spec alternates between traced and untraced.
 ///
 /// Clients wait on the streamed `watch`, but the server re-reads a
 /// watched campaign only every 25 ms, so its end lags `Done` by up to
@@ -158,6 +186,7 @@ pub fn session(
                             return s;
                         }
                         let idx = k % specs.len();
+                        let traced = tracer.filter(|_| (idx + k / specs.len()).is_multiple_of(2));
                         if client.is_none() {
                             match ServeClient::connect(addr) {
                                 Ok(c) => client = Some(c),
@@ -184,11 +213,17 @@ pub fn session(
                             Ok(status) => {
                                 let t2 = Instant::now();
                                 let at = done_time(id);
-                                s.campaigns
-                                    .push((idx, status, (at - t0).as_secs_f64() * 1e3));
+                                s.campaigns.push(Served {
+                                    spec: idx,
+                                    status,
+                                    latency_ms: (at - t0).as_secs_f64() * 1e3,
+                                    submitted: t0,
+                                    done: at,
+                                    traced: traced.is_some(),
+                                });
                                 s.watch_lag_ms
                                     .push(t2.saturating_duration_since(at).as_secs_f64() * 1e3);
-                                if let Some(tr) = tracer {
+                                if let Some(tr) = traced {
                                     let root = tr.record("serve.campaign", id, None, t0, t2);
                                     tr.record("serve.submit", id, Some(root), t0, t1);
                                     tr.record("serve.watch", id, Some(root), t1, t2);
@@ -278,11 +313,11 @@ pub fn expected(specs: &[CampaignSpec]) -> Vec<FleetReport> {
 /// Checks every served campaign: a spec fails when any of its campaigns
 /// is not `Done` with the reference digest, or a client error hit it.
 pub fn check(out: &mut Outcome, session: &Session, reference: &[FleetReport]) {
-    for (idx, status, _) in &session.campaigns {
-        let want = reference[*idx].digest();
+    for Served { spec, status, .. } in &session.campaigns {
+        let want = reference[*spec].digest();
         if status.phase != Phase::Done || status.digest != Some(want) {
             out.fail(
-                *idx as u64,
+                *spec as u64,
                 format!(
                     "serve-mix campaign {} ({}): phase {:?} digest {:?}, reference {want:016x}",
                     status.id, status.spec.subject, status.phase, status.digest
@@ -335,66 +370,66 @@ pub fn run(ctx: &Run, out: &mut Outcome) {
     let clients = CLIENTS;
     let min = specs.len();
     out.items = specs.len() as u64;
-    // The serial reference runs, outside every timed window.
-    let reference = expected(&specs);
 
-    let (main, snap) = if ctx.trace {
-        // A third of the time each: untraced, traced, and the persistent
-        // twin that prices persistence.
-        let third = ctx.seconds / 3.0;
-        let untraced = session(&service, &specs, clients, third, min, false, None);
+    // The serial reference runs come after the sessions, outside every
+    // timed window and without their heap in the sessions' memory peak.
+    let (main, snap, reference) = if ctx.trace {
+        // Half the time each: the in-memory session, every other
+        // campaign traced, and the persistent twin that prices
+        // persistence. The ping prober runs in both.
+        let half = ctx.seconds / 2.0;
+        let traced = session(
+            &service,
+            &specs,
+            clients,
+            half,
+            min,
+            true,
+            Some(&ctx.tracer),
+        );
+        let snap = service.registry();
         service.stop();
-        let (traced, snap) = match Service::start(None, WORKERS) {
-            Ok(s) => {
-                let t = session(&s, &specs, clients, third, min, true, Some(&ctx.tracer));
-                let snap = s.registry();
-                s.stop();
-                (t, snap)
-            }
-            Err(e) => return out.errors.push(e),
-        };
         let dir = state_dir(ctx, "persistent");
         let (twin, twin_snap) = match Service::start(Some(&dir), WORKERS) {
             Ok(s) => {
-                let t = session(&s, &specs, clients, third, min, false, None);
+                let t = session(&s, &specs, clients, half, min, true, None);
                 let snap = s.registry();
                 s.stop();
                 (t, snap)
             }
             Err(e) => return out.errors.push(e),
         };
-        check(out, &untraced, &reference);
+        let reference = expected(&specs);
         check(out, &twin, &reference);
-        let sessions = Sessions {
-            traced: &traced,
-            untraced: &untraced,
-            twin: &twin,
-        };
-        traced_layers(ctx, out, &sessions, &snap, &twin_snap, &reference);
+        traced_layers(out, &traced, &twin, &snap, &twin_snap, &reference);
         out.note(format!(
             "serve-mix: persistent twin in {} on {}",
             dir.display(),
             crate::filesystem_of(&dir)
         ));
-        (traced, snap)
+        (traced, snap, reference)
     } else {
         let s = session(&service, &specs, clients, ctx.seconds, min, false, None);
         let snap = service.registry();
         service.stop();
-        (s, snap)
+        (s, snap, expected(&specs))
     };
 
     check(out, &main, &reference);
+    out.windows
+        .extend(main.campaigns.iter().map(|c| (c.submitted, c.done)));
     let done: Vec<&CampaignStatus> = main
         .campaigns
         .iter()
-        .filter(|c| c.1.phase == Phase::Done)
-        .map(|c| &c.1)
+        .filter(|c| c.status.phase == Phase::Done)
+        .map(|c| &c.status)
         .collect();
     let spent: u64 = done.iter().map(|s| s.spent).sum();
     let escalations = snap.counter("tier.escalations").unwrap_or(0);
     out.put("execs_per_s", spent as f64 / main.elapsed_s);
-    // Escalations re-run an input already generated by the fast tier.
+    // No grammar generation runs here (flood-mjs measures it): the
+    // driver's generated candidates are its executions minus the
+    // escalations, which re-run an input the fast tier already screened.
     out.put(
         "gen_inputs_per_s",
         spent.saturating_sub(escalations) as f64 / main.elapsed_s,
@@ -431,27 +466,14 @@ pub fn run(ctx: &Run, out: &mut Outcome) {
     ));
 }
 
-/// The three sessions of a traced run: in-memory untraced and traced,
-/// and the persistent twin.
-struct Sessions<'a> {
-    traced: &'a Session,
-    untraced: &'a Session,
-    twin: &'a Session,
-}
-
 fn traced_layers(
-    ctx: &Run,
     out: &mut Outcome,
-    sessions: &Sessions,
+    traced: &Session,
+    twin: &Session,
     snap: &MetricsSnapshot,
     twin_snap: &MetricsSnapshot,
     reference: &[FleetReport],
 ) {
-    let Sessions {
-        traced,
-        untraced,
-        twin,
-    } = *sessions;
     let n = traced.campaigns.len().max(1) as f64;
     let latency_s: f64 = traced.latencies().iter().sum::<f64>() / 1e3;
     let counter = |name| snap.counter(name).unwrap_or(0) as f64;
@@ -489,7 +511,6 @@ fn traced_layers(
         snap.hist("exec.input_len")
             .map_or(0.0, |h| crate::stats::hist_quantile(h, 0.5)),
     );
-    out.put("gen.generate.share", 0.0);
     let sync = snap.hist("fleet.sync_ns");
     out.put(
         "fleet.sync.ns_per_epoch",
@@ -502,7 +523,9 @@ fn traced_layers(
     out.put("serve.persist_ms_per_campaign", persist_ms);
     out.put("serve.checkpoints", per_twin_campaign("serve.checkpoints"));
     out.put("serve.slices", counter("serve.slices") / n);
-    out.put("obs.trace_overhead", p50(traced) / p50(untraced));
+    let overhead = median(&traced.latencies_traced(true)) / median(&traced.latencies_traced(false));
+    out.put("obs.trace_overhead", overhead);
+    not_run(out, &GEN_LAYERS);
 
     let rows = vec![
         Row {
@@ -522,10 +545,10 @@ fn traced_layers(
         },
     ];
     identity_table(
-        "serve-mix traced in-memory session (sum of campaign latencies)",
+        "serve-mix in-memory session (sum of campaign latencies)",
         latency_s,
         &rows,
-        p50(traced) / p50(untraced),
+        overhead,
         &mut out.notes,
     );
     out.note(format!(
@@ -538,50 +561,17 @@ fn traced_layers(
         100.0 * persist_ms / p50(twin)
     ));
 
-    // Each subject's valid inputs from the reference runs: mined for the
-    // generation probe, and with their prefixes for the sink probe.
-    let valid: Vec<(pdf_runtime::Subject, Vec<Vec<u8>>)> = reference
+    // Each subject's valid inputs from the reference runs, with their
+    // prefixes, for the sink probe.
+    let corpora: Vec<(pdf_runtime::Subject, Vec<Vec<u8>>)> = reference
         .iter()
         .zip(SUBJECTS.iter().cycle())
         .map(|(r, name)| {
             let subject = pdf_subjects::by_name(name)
                 .expect("evaluation subject")
                 .subject;
-            (subject, r.valid_inputs.clone())
+            (subject, crate::probe::with_prefixes(&r.valid_inputs))
         })
         .collect();
-    let candidates: Vec<_> = valid
-        .iter()
-        .map(|(s, v)| (*s, crate::probe::with_prefixes(v)))
-        .collect();
-    probe_layers(ctx, out, &candidates, &valid, false, false);
-}
-
-/// Wire, submit and persistence cost from short sessions of small
-/// campaigns, for workloads that run no service.
-pub struct ServeProbe {
-    pub rtt_us: f64,
-    pub submit_ms: f64,
-    pub persist_ms: f64,
-}
-
-pub fn probe(ctx: &Run) -> Result<ServeProbe, String> {
-    let specs = specs(ctx.seed, 5, 300, 1, ExecMode::Full);
-    let persistent = Service::start(Some(&state_dir(ctx, "probe")), WORKERS)?;
-    let p = session(&persistent, &specs, CLIENTS, 0.5, 10, true, None);
-    persistent.stop();
-    let memory = Service::start(None, WORKERS)?;
-    let m = session(&memory, &specs, CLIENTS, 0.5, 10, false, None);
-    memory.stop();
-    if !p.client_errors.is_empty() || !m.client_errors.is_empty() {
-        return Err(format!(
-            "serve probe client errors: {:?}",
-            [p.client_errors, m.client_errors].concat()
-        ));
-    }
-    Ok(ServeProbe {
-        rtt_us: median(&p.rtt_us),
-        submit_ms: median(&p.submit_ms),
-        persist_ms: median(&p.latencies()) - median(&m.latencies()),
-    })
+    sink_layers(out, &corpora);
 }

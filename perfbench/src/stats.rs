@@ -3,6 +3,10 @@
 //! metric record every workload fills.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// One reported metric: name, value and unit.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,11 +29,19 @@ pub struct Outcome {
     /// Every failed check, and problems not tied to one item.
     pub errors: Vec<String>,
     pub notes: Vec<String>,
+    /// When each timed unit of work (a campaign, an evolve run, a served
+    /// campaign) ran, for the per-unit memory peak.
+    pub windows: Vec<(Instant, Instant)>,
 }
 
 impl Outcome {
     pub fn put(&mut self, name: &'static str, value: f64) {
         self.metrics.push(Metric { name, value });
+    }
+
+    /// Records that a timed unit of work ran from `start` until now.
+    pub fn window(&mut self, start: Instant) {
+        self.windows.push((start, Instant::now()));
     }
 
     pub fn note(&mut self, line: String) {
@@ -65,13 +77,21 @@ pub fn median(values: &[f64]) -> f64 {
     quantile(values, 0.5)
 }
 
-/// Geometric mean of positive `values`: the average rate of items whose
-/// rates span orders of magnitude, each item weighing the same.
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
+/// The rate over repeated items: each item's `count` once per timed run
+/// of it, over the sum of every run's seconds in `samples` (one list of
+/// run times per item); 0 when nothing was timed.
+pub fn total_rate(counts: impl IntoIterator<Item = u64>, samples: &[Vec<f64>]) -> f64 {
+    let done: f64 = counts
+        .into_iter()
+        .zip(samples)
+        .map(|(c, s)| c as f64 * s.len() as f64)
+        .sum();
+    let seconds: f64 = samples.iter().flatten().sum();
+    if seconds > 0.0 {
+        done / seconds
+    } else {
+        0.0
     }
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
 /// Linear-interpolated quantile `q` in `[0, 1]` of `values`.
@@ -127,18 +147,76 @@ pub fn hist_quantile(h: &pdf_obs::HistSnapshot, q: f64) -> f64 {
     pdf_obs::bucket_lo(h.buckets.last().map_or(0, |b| b.0 as usize)) as f64
 }
 
+/// A `/proc/self/status` field of this process in MiB (`VmRSS`,
+/// `VmHWM`), or `None` where `/proc` is unavailable.
+fn status_mib(field: &str) -> Option<f64> {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()?
+        .lines()
+        .find(|l| l.starts_with(field))?
+        .split_whitespace()
+        .nth(1)?
+        .parse::<f64>()
+        .ok()
+        .map(|kb| kb / 1024.0)
+}
+
 /// Peak resident set size of this process in MiB (`VmHWM`), or 0 where
 /// `/proc` is unavailable.
 pub fn peak_rss_mb() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse::<f64>().ok())
+    status_mib("VmHWM:").unwrap_or(0.0)
+}
+
+/// Samples this process's resident set size on a background thread
+/// until [`RssSampler::finish`].
+pub struct RssSampler {
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<Vec<(Instant, f64)>>,
+}
+
+impl RssSampler {
+    pub fn start(period: Duration) -> RssSampler {
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let thread = std::thread::spawn(move || {
+            let mut samples = Vec::new();
+            while !flag.load(Ordering::Relaxed) {
+                if let Some(mib) = status_mib("VmRSS:") {
+                    samples.push((Instant::now(), mib));
+                }
+                std::thread::sleep(period);
+            }
+            samples
+        });
+        RssSampler { stop, thread }
+    }
+
+    /// Stops the sampler and returns its `(time, MiB)` samples.
+    pub fn finish(self) -> Vec<(Instant, f64)> {
+        self.stop.store(true, Ordering::Relaxed);
+        self.thread.join().expect("rss sampler thread panicked")
+    }
+}
+
+/// The median over `windows` of the highest sample inside each window:
+/// the memory peak of a typical unit of work. One unusually large unit
+/// sets the process's high-water mark but not this. `None` when no
+/// window holds a sample.
+pub fn median_window_peak(
+    samples: &[(Instant, f64)],
+    windows: &[(Instant, Instant)],
+) -> Option<f64> {
+    let peaks: Vec<f64> = windows
+        .iter()
+        .filter_map(|&(start, end)| {
+            samples
+                .iter()
+                .filter(|(t, _)| (start..=end).contains(t))
+                .map(|s| s.1)
+                .max_by(f64::total_cmp)
         })
-        .map_or(0.0, |kb| kb / 1024.0)
+        .collect();
+    (!peaks.is_empty()).then(|| median(&peaks))
 }
 
 /// Whether `name` is a valid metric or workload name: starts with a
@@ -207,8 +285,8 @@ mod tests {
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(quantile(&[0.0, 10.0], 0.9), 9.0);
         assert_eq!(median(&[]), 0.0);
-        assert!((geomean(&[1.0, 100.0]) - 10.0).abs() < 1e-9);
-        assert_eq!(geomean(&[]), 0.0);
+        assert_eq!(total_rate([10, 30], &[vec![1.0, 1.0], vec![2.0]]), 12.5);
+        assert_eq!(total_rate([], &[]), 0.0);
     }
 
     #[test]
@@ -255,6 +333,22 @@ mod tests {
         assert_eq!(o.failed(), 1);
         assert_eq!(o.failed_share(), 0.02);
         assert!(!o.correct());
+    }
+
+    #[test]
+    fn window_peak_is_the_median_of_per_window_maxima() {
+        let t0 = Instant::now();
+        let at = |ms| t0 + Duration::from_millis(ms);
+        let samples = [(at(1), 10.0), (at(2), 30.0), (at(5), 12.0), (at(8), 14.0)];
+        let windows = [
+            (at(0), at(3)),
+            (at(4), at(6)),
+            (at(7), at(9)),
+            (at(20), at(30)),
+        ];
+        // maxima 30, 12 and 14; the last window holds no sample
+        assert_eq!(median_window_peak(&samples, &windows), Some(14.0));
+        assert_eq!(median_window_peak(&samples, &windows[3..]), None);
     }
 
     #[test]

@@ -109,19 +109,24 @@ pub struct SpanTotals {
     pub self_ns: u64,
 }
 
-/// A `pdf-obs` registry installed on the current thread for the life of
-/// the value: the program's own spans, counters and histograms land in
-/// it.
+/// A `pdf-obs` registry the program's own spans, counters and
+/// histograms land in while it is installed on the current thread.
+/// Installing it only around the traced work lets a run interleave
+/// traced and untraced passes that share one registry.
 pub struct Registry {
     pub reg: Arc<MetricsRegistry>,
-    _scope: pdf_obs::MetricsScope,
 }
 
 impl Registry {
-    pub fn install() -> Registry {
-        let reg = Arc::new(MetricsRegistry::new());
-        let scope = pdf_obs::install(Arc::clone(&reg));
-        Registry { reg, _scope: scope }
+    pub fn new() -> Registry {
+        Registry {
+            reg: Arc::new(MetricsRegistry::new()),
+        }
+    }
+
+    /// Installs the registry until the returned scope is dropped.
+    pub fn install(&self) -> pdf_obs::MetricsScope {
+        pdf_obs::install(Arc::clone(&self.reg))
     }
 }
 

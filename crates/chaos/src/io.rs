@@ -11,10 +11,9 @@
 //! not (and cannot usefully) check for it.
 
 use std::io::{self, Read, Write};
-use std::path::Path;
 use std::sync::Arc;
 
-use crate::plan::{Fault, FaultKind, FaultPlan, OpKind};
+use crate::plan::{FaultKind, FaultPlan, OpKind};
 
 fn injected(kind: io::ErrorKind, what: &str) -> io::Error {
     io::Error::new(kind, format!("injected: {what}"))
@@ -139,47 +138,6 @@ impl<R: Read> Read for ChaosReader<R> {
     }
 }
 
-/// Fault-injectable whole-file write: the storage analog of
-/// `std::fs::write`, consulting `plan` once per call.
-///
-/// A torn write persists a prefix of `bytes` at `path` and errors; an
-/// `ENOSPC` persists nothing. Callers that need atomic visibility must
-/// still do their own tmp-plus-rename *around* this call — the fault
-/// then tears the tmp file, which is exactly the crash-consistency
-/// scenario the recovery paths must survive.
-///
-/// # Errors
-///
-/// Injected faults and real I/O errors, indistinguishably.
-pub fn chaos_write_file(
-    plan: Option<&Arc<FaultPlan>>,
-    op: OpKind,
-    path: &Path,
-    bytes: &[u8],
-) -> io::Result<()> {
-    match plan.and_then(|p| p.decide(op)) {
-        None => std::fs::write(path, bytes),
-        Some(Fault { kind, magnitude }) => match kind {
-            FaultKind::Delay => {
-                let plan = plan.expect("fault without plan");
-                std::thread::sleep(plan.delay_of(Fault { kind, magnitude }));
-                std::fs::write(path, bytes)
-            }
-            FaultKind::Enospc => Err(injected(io::ErrorKind::Other, "no space left on device")),
-            FaultKind::TornWrite => {
-                let keep = if bytes.is_empty() {
-                    0
-                } else {
-                    (magnitude as usize) % bytes.len()
-                };
-                std::fs::write(path, &bytes[..keep])?;
-                Err(injected(io::ErrorKind::BrokenPipe, "torn file write"))
-            }
-            FaultKind::ShortRead | FaultKind::Disconnect => std::fs::write(path, bytes),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,7 +172,7 @@ mod tests {
     fn quiet_plan_is_transparent() {
         let mut sink: Vec<u8> = Vec::new();
         {
-            let mut w = ChaosWriter::new(&mut sink, None, OpKind::MetaWrite);
+            let mut w = ChaosWriter::new(&mut sink, None, OpKind::JournalWrite);
             w.write_all(b"payload").unwrap();
         }
         assert_eq!(sink, b"payload");
@@ -239,26 +197,5 @@ mod tests {
         let mut out = Vec::new();
         r.read_to_end(&mut out).unwrap();
         assert_eq!(out, data);
-    }
-
-    #[test]
-    fn chaos_write_file_torn_leaves_prefix_on_disk() {
-        let dir = std::env::temp_dir().join(format!("pdf-chaos-io-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("victim");
-        let plan = always_torn();
-        let err = chaos_write_file(
-            Some(&plan),
-            OpKind::CheckpointWrite,
-            &path,
-            b"full contents",
-        )
-        .unwrap_err();
-        assert!(is_injected(&err));
-        let on_disk = std::fs::read(&path).unwrap();
-        assert!(on_disk.len() < b"full contents".len());
-        assert_eq!(&on_disk[..], &b"full contents"[..on_disk.len()]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -36,5 +36,5 @@ pub mod io;
 pub mod plan;
 
 pub use backoff::Backoff;
-pub use io::{chaos_write_file, is_injected, ChaosReader, ChaosWriter};
+pub use io::{is_injected, ChaosReader, ChaosWriter};
 pub use plan::{Fault, FaultKind, FaultPlan, FaultSpec, OpKind};

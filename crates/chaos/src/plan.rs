@@ -21,8 +21,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum OpKind {
     /// One serve-journal line append.
     JournalWrite,
-    /// One campaign meta-file write.
-    MetaWrite,
     /// One checkpoint file write.
     CheckpointWrite,
     /// One socket read.
@@ -33,18 +31,18 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every operation kind, in schedule order.
-    pub const ALL: [OpKind; 5] = [
+    pub const ALL: [OpKind; 4] = [
         OpKind::JournalWrite,
-        OpKind::MetaWrite,
         OpKind::CheckpointWrite,
         OpKind::WireRead,
         OpKind::WireWrite,
     ];
 
+    /// The kind's slot in the schedule. Slot 1 belonged to a retired
+    /// kind and stays unused, so every other kind keeps its schedule.
     fn index(self) -> usize {
         match self {
             OpKind::JournalWrite => 0,
-            OpKind::MetaWrite => 1,
             OpKind::CheckpointWrite => 2,
             OpKind::WireRead => 3,
             OpKind::WireWrite => 4,
@@ -54,10 +52,7 @@ impl OpKind {
     /// Whether this operation moves bytes toward durable storage (the
     /// alternative being the wire).
     pub fn is_storage(self) -> bool {
-        matches!(
-            self,
-            OpKind::JournalWrite | OpKind::MetaWrite | OpKind::CheckpointWrite
-        )
+        matches!(self, OpKind::JournalWrite | OpKind::CheckpointWrite)
     }
 }
 
@@ -65,7 +60,6 @@ impl fmt::Display for OpKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             OpKind::JournalWrite => "journal-write",
-            OpKind::MetaWrite => "meta-write",
             OpKind::CheckpointWrite => "checkpoint-write",
             OpKind::WireRead => "wire-read",
             OpKind::WireWrite => "wire-write",
@@ -171,7 +165,7 @@ impl FaultSpec {
     /// fixed schedule order.
     fn applicable(&self, op: OpKind) -> [(FaultKind, u32); 3] {
         match op {
-            OpKind::JournalWrite | OpKind::MetaWrite | OpKind::CheckpointWrite => [
+            OpKind::JournalWrite | OpKind::CheckpointWrite => [
                 (FaultKind::TornWrite, self.torn_write_per_mille),
                 (FaultKind::Enospc, self.enospc_per_mille),
                 (FaultKind::Delay, self.delay_per_mille),

@@ -38,7 +38,7 @@ proptest! {
     }
 
     #[test]
-    fn decide_replays_schedule_under_any_interleaving(seed in any::<u64>(), picks in proptest::collection::vec(0usize..5, 0..200)) {
+    fn decide_replays_schedule_under_any_interleaving(seed in any::<u64>(), picks in proptest::collection::vec(0usize..OpKind::ALL.len(), 0..200)) {
         let plan = FaultPlan::new(seed, FaultSpec::SOAK);
         for pick in picks {
             let op = OpKind::ALL[pick];

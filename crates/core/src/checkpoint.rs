@@ -221,12 +221,13 @@ fn decode_branches(s: &str) -> Option<Vec<(u64, bool)>> {
     }
     s.split(',')
         .map(|tok| {
-            let (hex, sign) = tok.split_at(tok.len().checked_sub(1)?);
-            let outcome = match sign {
-                "+" => true,
-                "-" => false,
-                _ => return None,
+            let (hex, outcome) = match tok.strip_suffix('+') {
+                Some(hex) => (hex, true),
+                None => (tok.strip_suffix('-')?, false),
             };
+            if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return None;
+            }
             let site = u64::from_str_radix(hex, 16).ok()?;
             Some((site, outcome))
         })
@@ -585,6 +586,28 @@ mod tests {
             Checkpoint::decode(&bad_hex),
             Err(CheckpointError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn corrupt_hex_and_branch_sets_are_errors_not_panics() {
+        let text = sample().encode();
+        for (good, bad) in [
+            ("decisions hex=30312b", "decisions hex=aéb"),
+            ("decisions hex=30312b", "decisions hex=+f"),
+            ("0000000000000001+", "00é"),
+            ("0000000000000001+", "+f+"),
+            ("0000000000000001+", "é"),
+        ] {
+            assert!(text.contains(good), "sample lacks {good:?}");
+            let corrupt = text.replacen(good, bad, 1);
+            assert!(
+                matches!(
+                    Checkpoint::decode(&corrupt),
+                    Err(CheckpointError::Parse { .. })
+                ),
+                "accepted {bad:?}"
+            );
+        }
     }
 
     #[test]

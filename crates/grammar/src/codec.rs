@@ -29,7 +29,7 @@
 use std::fmt;
 use std::path::Path;
 
-use pdf_runtime::Digest;
+use pdf_runtime::{hex_decode, hex_encode, Digest};
 
 use crate::mine::{Grammar, Label, Sym};
 
@@ -88,31 +88,6 @@ impl fmt::Display for GrammarError {
 }
 
 impl std::error::Error for GrammarError {}
-
-fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn from_hex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err(format!("odd-length hex string {s:?}"));
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in s.as_bytes().chunks(2) {
-        let hi = (pair[0] as char)
-            .to_digit(16)
-            .ok_or_else(|| format!("bad hex digit in {s:?}"))?;
-        let lo = (pair[1] as char)
-            .to_digit(16)
-            .ok_or_else(|| format!("bad hex digit in {s:?}"))?;
-        out.push((hi * 16 + lo) as u8);
-    }
-    Ok(out)
-}
 
 impl GrammarFile {
     /// Wraps a grammar with uniform weights (`1` per alternative) — the
@@ -244,7 +219,7 @@ impl GrammarFile {
                 out.push_str(&format!("alt w={w}"));
                 for sym in alt {
                     match sym {
-                        Sym::Lit(bytes) => out.push_str(&format!(" lit={}", to_hex(bytes))),
+                        Sym::Lit(bytes) => out.push_str(&format!(" lit={}", hex_encode(bytes))),
                         Sym::Ref(r) => out.push_str(&format!(" ref={:016x}", r.0)),
                     }
                 }
@@ -349,7 +324,8 @@ impl GrammarFile {
                 let mut body = Vec::new();
                 for field in fields {
                     if let Some(h) = field.strip_prefix("lit=") {
-                        let bytes = from_hex(h).map_err(parse_err)?;
+                        let bytes = hex_decode(h)
+                            .ok_or_else(|| parse_err(format!("bad hex literal {h:?}")))?;
                         if bytes.is_empty() {
                             return Err(parse_err("empty literal".to_string()));
                         }
@@ -534,6 +510,8 @@ mod tests {
             "rule label=00 alts=1\nalt w=1 lit=\n",    // empty literal
             "rule label=00 alts=1\nalt w=1 lit=zz\n",  // bad hex
             "rule label=00 alts=1\nalt w=1 lit=abc\n", // odd hex
+            "rule label=00 alts=1\nalt w=1 lit=aéb\n", // non-ASCII hex
+            "rule label=00 alts=1\nalt w=1 lit=+f\n",  // signed hex
             "rule label=00 alts=1\nalt w=1 wat=1\n",   // unknown field
             "rule label=zz alts=1\nalt w=1 lit=31\n",  // bad label
             "rule alts=1\nalt w=1 lit=31\n",           // missing label

@@ -129,9 +129,10 @@ pub struct MetricsRegistry {
     /// Checkpoint generations quarantined as corrupt during campaign
     /// rebuild (the rebuild fell back to an older generation).
     pub serve_checkpoint_quarantined: Counter,
-    /// Slice-boundary persistence writes (journal append, meta,
-    /// checkpoint) that failed and were survived in degraded mode —
-    /// disk is one generation staler than the contract's best case.
+    /// Persistence writes (journal append, checkpoint) that failed. A
+    /// client request whose record failed was refused as
+    /// `unavailable`; anything else was survived in degraded mode, and
+    /// recovery re-runs it from the checkpoint.
     pub serve_write_degraded: Counter,
     /// Faults injected by an installed `pdf-chaos` plan (zero outside
     /// chaos runs).

@@ -198,13 +198,18 @@ pub fn hex_encode(bytes: &[u8]) -> String {
     s
 }
 
-/// Inverse of [`hex_encode`]; `None` on odd length or a non-hex digit.
+/// Inverse of [`hex_encode`]; `None` on odd length or on any byte that
+/// is not a hex digit (signs and non-ASCII included). Works byte by
+/// byte, so no input can make it panic.
 pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    let digit = |b: u8| char::from(b).to_digit(16).map(|d| d as u8);
+    let bytes = s.as_bytes();
+    if !bytes.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok())
+    bytes
+        .chunks_exact(2)
+        .map(|pair| Some(digit(pair[0])? << 4 | digit(pair[1])?))
         .collect()
 }
 
@@ -456,6 +461,22 @@ mod tests {
         assert!(hex_decode("0").is_none());
         assert!(hex_decode("zz").is_none());
         assert_eq!(hex_decode("").unwrap(), Vec::<u8>::new());
+        // Corrupt input is an error, never a panic or a misread.
+        assert!(hex_decode("aéb").is_none());
+        assert!(hex_decode("+f").is_none());
+        assert_eq!(hex_decode("0A").unwrap(), [0x0a]);
+    }
+
+    #[test]
+    fn corrupt_decision_hex_is_an_error_not_a_panic() {
+        let mut j = Journal::new();
+        j.push(sample_cell());
+        let text = j.encode();
+        assert!(text.contains("dec=010203"));
+        for bad in ["dec=aéb", "dec=+f", "dec=00é"] {
+            let corrupt = text.replace("dec=010203", bad);
+            assert!(Journal::decode(&corrupt).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

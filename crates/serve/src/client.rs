@@ -5,8 +5,9 @@
 //! hiccup is the caller's problem. [`RetryClient`] wraps it with the
 //! fault-model contract: jittered-exponential reconnect on transport
 //! errors, honoring the server's `retry-after-ms` hint on `overloaded`
-//! sheds, and deterministic idempotency keys on submit so a retried
-//! submission can never fork a duplicate campaign.
+//! sheds and `unavailable` (unjournaled) refusals, and deterministic
+//! idempotency keys on submit so a retried submission can never fork a
+//! duplicate campaign.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -30,7 +31,8 @@ pub enum ClientError {
     Server {
         /// The machine-readable error code.
         code: String,
-        /// The server's retry hint (present on `overloaded`).
+        /// The server's retry hint (present on `overloaded` and
+        /// `unavailable`).
         retry_after_ms: Option<u64>,
         /// The human-readable message.
         msg: String,
@@ -314,15 +316,17 @@ impl Default for RetryPolicy {
 
 /// Whether this failure is worth a reconnect-and-retry: transport
 /// deaths and mid-frame drops are; coherent server refusals (bad spec,
-/// unknown subject, illegal transition) are not. `overloaded` and
-/// `timeout` server codes are retryable — the server itself asked the
-/// client to come back.
+/// unknown subject, illegal transition) are not. `overloaded`,
+/// `unavailable` and `timeout` server codes are retryable — the server
+/// itself asked the client to come back.
 fn retryable(e: &ClientError) -> bool {
     match e {
         ClientError::Io(_) => true,
         ClientError::Protocol(WireError::UnexpectedEof | WireError::Timeout) => true,
         ClientError::Protocol(WireError::BadResponse(msg)) => msg.starts_with("io: "),
-        ClientError::Server { code, .. } => code == "overloaded" || code == "timeout",
+        ClientError::Server { code, .. } => {
+            matches!(code.as_str(), "overloaded" | "unavailable" | "timeout")
+        }
         _ => false,
     }
 }
@@ -389,8 +393,8 @@ impl RetryClient {
     ///
     /// - transport failure → drop the connection, sleep the next
     ///   backoff window, reconnect, re-run `f`;
-    /// - `err code=overloaded retry-after-ms=N` → sleep the *larger* of
-    ///   `N` and the backoff window, re-run `f`;
+    /// - `err code=overloaded|unavailable retry-after-ms=N` → sleep the
+    ///   *larger* of `N` and the backoff window, re-run `f`;
     /// - any other server refusal → return it immediately (retrying a
     ///   `bad-spec` will never make it good);
     /// - `max_retries` failures → return the last error.
@@ -423,10 +427,11 @@ impl RetryClient {
                     }
                     let hinted = match &e {
                         ClientError::Server {
+                            code,
                             retry_after_ms: Some(ms),
                             ..
                         } => {
-                            self.sheds += 1;
+                            self.sheds += u64::from(code == "overloaded");
                             Some(Duration::from_millis(*ms))
                         }
                         _ => {

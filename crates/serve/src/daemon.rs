@@ -11,19 +11,23 @@
 //!
 //! # Durability contract
 //!
-//! With a state directory configured, the disk is brought up to date at
-//! **every slice boundary**: the fleet is checkpointed
-//! (`campaigns/<id>/ck/`, the `pdf-checkpoint`/`pdf-fleet` codecs), the
-//! campaign meta (`campaigns/<id>/meta`, `pdf-serve-meta v1`) is
-//! rewritten atomically, and every lifecycle transition is appended to
-//! `serve.journal` *before* it takes effect. A hard kill therefore
-//! loses at most the epoch in flight — and because an epoch re-run from
-//! its checkpoint is deterministic (the fleet contract), a restarted
-//! daemon finishes every interrupted campaign with **byte-identical
-//! final digests** to an uninterrupted run. [`Daemon::open`] performs
-//! the recovery: persisted `Running` campaigns are requeued through the
-//! [`Event::Requeue`] edge, `Paused` ones stay paused, terminal ones
-//! keep their digests.
+//! With a state directory configured, `serve.journal` is the only
+//! durable record of a campaign. Every submission and every lifecycle
+//! transition is appended to it, with the campaign's status, and synced
+//! *before* it takes effect. A request that changes a campaign (submit,
+//! and pause/resume/cancel when they apply at once) is acknowledged only
+//! after its record is on disk; when the record cannot be written the
+//! client gets [`ServeError::Unavailable`] and nothing changes. A slice
+//! boundary writes only the fleet checkpoint (`campaigns/<id>/ck/`, the
+//! `pdf-checkpoint`/`pdf-fleet` codecs). A hard kill therefore loses at
+//! most the epoch in flight, and no acknowledged campaign. Because an
+//! epoch re-run from its checkpoint is deterministic (the fleet
+//! contract), a restarted daemon finishes every interrupted campaign
+//! with **byte-identical final digests** to an uninterrupted run.
+//! [`Daemon::open`] performs the recovery: each campaign takes the
+//! status of its last journal record, persisted `Running` campaigns are
+//! requeued through the [`Event::Requeue`] edge, `Paused` ones stay
+//! paused, terminal ones keep their digests.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -33,19 +37,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use pdf_chaos::{chaos_write_file, FaultKind, FaultPlan, OpKind};
+use pdf_chaos::{FaultKind, FaultPlan, OpKind};
 use pdf_core::{DriverConfig, ErrorClass};
 use pdf_fleet::{Fleet, FleetConfig};
 use pdf_obs::{campaign_label, MetricsRegistry};
 
 use crate::journal::{recover_journal, Journal};
 use crate::lifecycle::{transition, Event, IllegalTransition, Phase};
-use crate::wire::{
-    parse_fields, status_fields, status_from_fields, CampaignSpec, CampaignStatus, RESPONSE_KEYS,
-};
+use crate::wire::{CampaignSpec, CampaignStatus};
 
-/// The meta-file header/version line.
-pub const META_HEADER: &str = "pdf-serve-meta v1";
+/// Retry hint sent with [`ServeError::Unavailable`].
+const UNAVAILABLE_RETRY_MS: u64 = 50;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -60,7 +62,7 @@ pub struct DaemonConfig {
     /// queued or running. `None` admits everything.
     pub max_queued: Option<usize>,
     /// Storage fault-injection plan for chaos testing; every journal
-    /// append, meta rewrite and checkpoint write consults it. `None`
+    /// append and checkpoint write consults it. `None`
     /// (production) injects nothing.
     pub faults: Option<Arc<FaultPlan>>,
 }
@@ -118,6 +120,13 @@ pub enum ServeError {
         /// in milliseconds.
         retry_after_ms: u64,
     },
+    /// The journal record of the request could not be written, so the
+    /// request did not take effect; retry after the given delay.
+    Unavailable {
+        /// How long the client should back off before retrying, in
+        /// milliseconds.
+        retry_after_ms: u64,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -130,6 +139,9 @@ impl fmt::Display for ServeError {
             ServeError::Stopping => write!(f, "daemon is shutting down"),
             ServeError::Overloaded { retry_after_ms } => {
                 write!(f, "daemon is overloaded, retry in {retry_after_ms}ms")
+            }
+            ServeError::Unavailable { retry_after_ms } => {
+                write!(f, "journal write failed, retry in {retry_after_ms}ms")
             }
         }
     }
@@ -296,87 +308,54 @@ pub fn journal_path(state_dir: &Path) -> PathBuf {
     state_dir.join("serve.journal")
 }
 
-fn encode_meta(status: &CampaignStatus) -> String {
-    let mut line = String::from("campaign");
-    for (k, v) in status_fields(status) {
-        line.push(' ');
-        line.push_str(&k);
-        line.push('=');
-        line.push_str(&v);
-    }
-    format!("{META_HEADER}\n{line}\n")
-}
-
-fn decode_meta(text: &str) -> std::io::Result<CampaignStatus> {
-    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(h) if h == META_HEADER => {}
-        other => return Err(invalid(format!("bad meta header {other:?}"))),
-    }
-    let line = lines
-        .next()
-        .ok_or_else(|| invalid("meta missing campaign line".into()))?;
-    let rest = line
-        .strip_prefix("campaign ")
-        .ok_or_else(|| invalid(format!("not a campaign line: {line:?}")))?;
-    let fields = parse_fields(rest, &RESPONSE_KEYS).map_err(|e| invalid(e.to_string()))?;
-    status_from_fields(&fields).map_err(|e| invalid(e.to_string()))
-}
-
 impl Inner {
-    /// Writes the campaign's meta file atomically (tmp + rename).
-    ///
-    /// A failed write (real or injected) degrades instead of
-    /// panicking: the previous meta stays in place, the
-    /// `serve.write_degraded` counter ticks, and the next slice
-    /// boundary retries — the restart contract already tolerates a meta
-    /// one boundary behind.
-    fn persist_meta(&self, c: &Campaign) {
-        let Some(state_dir) = &self.cfg.state_dir else {
-            return;
+    /// Appends the record of `event` with the campaign's new `status`.
+    /// A failed write ticks `serve.write_degraded` and comes back as
+    /// [`ServeError::Unavailable`].
+    fn journal(
+        &self,
+        st: &mut DaemonState,
+        event: Event,
+        from: Option<Phase>,
+        status: &CampaignStatus,
+    ) -> Result<(), ServeError> {
+        let Some(journal) = &mut st.journal else {
+            return Ok(());
         };
-        let dir = campaign_dir(state_dir, c.id);
-        let tmp = dir.join("meta.tmp");
-        let wrote = std::fs::create_dir_all(&dir)
-            .and_then(|()| {
-                chaos_write_file(
-                    self.cfg.faults.as_ref(),
-                    OpKind::MetaWrite,
-                    &tmp,
-                    encode_meta(&c.status()).as_bytes(),
-                )
-            })
-            .and_then(|()| std::fs::rename(&tmp, dir.join("meta")));
-        if wrote.is_err() {
+        journal.append(event, from, status).map(drop).map_err(|_| {
             self.registry.serve_write_degraded.inc();
-        }
+            ServeError::Unavailable {
+                retry_after_ms: UNAVAILABLE_RETRY_MS,
+            }
+        })
     }
 
-    /// Journals and applies one lifecycle transition. The journal write
-    /// happens *before* the in-memory phase change and the meta rewrite
-    /// after it, so on disk the journal always leads the meta. A failed
-    /// journal append degrades (the transition still applies, the
-    /// `serve.write_degraded` counter ticks) — refusing the transition
-    /// would wedge the campaign on a storage hiccup, and the meta
-    /// rewrite that follows keeps restart state correct.
+    /// Journals and applies one lifecycle transition; the record is
+    /// written *before* the in-memory phase change.
+    ///
+    /// A transition a client asked for (`acknowledged`) is refused with
+    /// [`ServeError::Unavailable`] when its record cannot be written. One
+    /// the daemon takes by itself degrades instead: it still applies,
+    /// since refusing it would wedge the campaign on a storage hiccup,
+    /// and recovery re-derives it by re-running from the checkpoint.
     fn apply(
         &self,
         st: &mut DaemonState,
         id: u64,
         event: Event,
-        digest: Option<u64>,
+        acknowledged: bool,
     ) -> Result<Phase, ServeError> {
-        let from = st
+        let c = st
             .campaigns
             .get(&id)
-            .ok_or(ServeError::NoSuchCampaign(id))?
-            .phase;
+            .ok_or(ServeError::NoSuchCampaign(id))?;
+        let from = c.phase;
         let to = transition(from, event)?;
-        if let Some(journal) = &mut st.journal {
-            if journal.append(id, event, from, to, digest).is_err() {
-                self.registry.serve_write_degraded.inc();
-            }
+        let mut status = c.status();
+        status.phase = to;
+        match self.journal(st, event, Some(from), &status) {
+            Err(e) if acknowledged => return Err(e),
+            _ => {}
         }
         self.registry.serve_transitions.inc();
         match to {
@@ -385,11 +364,17 @@ impl Inner {
             Phase::Cancelled => self.registry.serve_cancelled.inc(),
             _ => {}
         }
-        let c = st.campaigns.get_mut(&id).expect("campaign vanished");
-        c.phase = to;
-        self.persist_meta(c);
+        st.campaigns.get_mut(&id).expect("campaign vanished").phase = to;
         self.idle.notify_all();
         Ok(to)
+    }
+
+    /// Fails campaign `id` with `msg`, flattened to one line so the
+    /// journal record and the wire frame that carry it stay framed.
+    fn fail(&self, st: &mut DaemonState, id: u64, msg: &str) {
+        let c = st.campaigns.get_mut(&id).expect("campaign vanished");
+        c.error = Some(msg.replace(['\n', '\r'], " "));
+        let _ = self.apply(st, id, Event::Fail, false);
     }
 
     /// The most urgent schedulable campaign: nearest deadline first,
@@ -417,7 +402,7 @@ impl Inner {
                         if st.campaigns[&id].phase == Phase::Queued {
                             // First dispatch; the transition is what
                             // admits the campaign.
-                            self.apply(&mut st, id, Event::Dispatch, None)
+                            self.apply(&mut st, id, Event::Dispatch, false)
                                 .expect("queued -> running is legal");
                         }
                         st.busy += 1;
@@ -451,9 +436,7 @@ impl Inner {
                 Ok(f) => f,
                 Err(msg) => {
                     let mut st = self.state.lock().expect("daemon state poisoned");
-                    let c = st.campaigns.get_mut(&id).expect("campaign vanished");
-                    c.error = Some(msg);
-                    let _ = self.apply(&mut st, id, Event::Fail, None);
+                    self.fail(&mut st, id, &msg);
                     return;
                 }
             },
@@ -471,15 +454,13 @@ impl Inner {
         }
         match ran {
             Err(panic) => {
-                let msg = panic_message(panic);
+                let msg = format!("epoch slice panicked: {}", panic_message(panic));
                 let mut st = self.state.lock().expect("daemon state poisoned");
-                let c = st.campaigns.get_mut(&id).expect("campaign vanished");
-                c.error = Some(format!("epoch slice panicked: {msg}"));
-                let _ = self.apply(&mut st, id, Event::Fail, None);
+                self.fail(&mut st, id, &msg);
             }
             Ok(true) => {
-                // Budget spent: finalize. The report digest rides on the
-                // finish journal record.
+                // Budget spent: finalize. The report digest and counts
+                // ride on the finish journal record.
                 let report = fleet.into_report();
                 let digest = report.digest();
                 let mut st = self.state.lock().expect("daemon state poisoned");
@@ -489,11 +470,12 @@ impl Inner {
                 c.valid = report.valid_inputs.len() as u64;
                 c.digest = Some(digest);
                 c.coverage = Some(report.coverage_digest());
-                let _ = self.apply(&mut st, id, Event::Finish, Some(digest));
+                let _ = self.apply(&mut st, id, Event::Finish, false);
             }
             Ok(false) => {
-                // Mid-campaign boundary: bring the disk up to date, then
-                // settle pending pause/cancel requests.
+                // Mid-campaign boundary: write the checkpoint (the only
+                // disk write here), then settle pending pause/cancel
+                // requests.
                 let progress = fleet.progress();
                 if let Some(state_dir) = &self.cfg.state_dir {
                     match self.checkpoint_rotating(&fleet, state_dir, id) {
@@ -511,15 +493,13 @@ impl Inner {
                 c.valid = progress.valid_inputs;
                 if c.cancel_requested {
                     c.cancel_requested = false;
-                    let _ = self.apply(&mut st, id, Event::Cancel, None);
-                } else if c.pause_requested {
-                    c.pause_requested = false;
-                    let c = st.campaigns.get_mut(&id).expect("campaign vanished");
-                    c.fleet = Some(fleet);
-                    let _ = self.apply(&mut st, id, Event::Pause, None);
+                    let _ = self.apply(&mut st, id, Event::Cancel, false);
                 } else {
                     c.fleet = Some(fleet);
-                    self.persist_meta(c);
+                    if c.pause_requested {
+                        c.pause_requested = false;
+                        let _ = self.apply(&mut st, id, Event::Pause, false);
+                    }
                 }
             }
         }
@@ -598,25 +578,23 @@ impl Inner {
         if gens.is_empty() {
             return Fleet::new(info.subject, cfg).map_err(|e| format!("fleet config: {e}"));
         }
-        match Fleet::resume_with_fallback(info.subject, cfg.clone(), &gens) {
-            Ok((fleet, picked)) => {
-                for dir in &gens[..picked] {
-                    self.quarantine_checkpoint(dir);
-                }
-                Ok(fleet)
+        let (fleet, damaged) = match Fleet::resume_with_fallback(info.subject, cfg.clone(), &gens) {
+            Ok((fleet, picked)) => (fleet, &gens[..picked]),
+            Err(e) if e.class() == ErrorClass::Drift => {
+                return Err(format!("checkpoint resume failed: {e}"))
             }
-            Err(e) if e.class() == ErrorClass::Corrupt => {
-                // Every generation is damaged: quarantine them all and
-                // restart the campaign from scratch — deterministic, so
-                // the final digest is unchanged (it just costs re-run
-                // time).
-                for dir in &gens {
-                    self.quarantine_checkpoint(dir);
-                }
-                Fleet::new(info.subject, cfg).map_err(|e| format!("fleet config: {e}"))
-            }
-            Err(e) => Err(format!("checkpoint resume failed: {e}")),
+            // No generation loads (torn, or its manifest never made it
+            // to disk): rerun from the start. Deterministic, so the
+            // final digest is unchanged; it only costs re-run time.
+            Err(_) => (
+                Fleet::new(info.subject, cfg).map_err(|e| format!("fleet config: {e}"))?,
+                &gens[..],
+            ),
+        };
+        for dir in damaged {
+            self.quarantine_checkpoint(dir);
         }
+        Ok(fleet)
     }
 }
 
@@ -632,8 +610,9 @@ impl Daemon {
     /// Opens a daemon: recovers every campaign persisted under the
     /// state directory (if any), then starts the worker pool.
     ///
-    /// Recovery maps persisted phases to restart phases: terminal and
-    /// `Paused` campaigns are kept as-is, `Queued` ones wait their
+    /// Recovery gives each campaign the status of its last journal
+    /// record, then maps persisted phases to restart phases: terminal
+    /// and `Paused` campaigns are kept as-is, `Queued` ones wait their
     /// turn, and `Running` ones — whose worker died with the previous
     /// process — are requeued through the [`Event::Requeue`] edge (the
     /// one extra transition a crash costs in the journal).
@@ -643,8 +622,7 @@ impl Daemon {
     /// Real I/O errors creating the state directory or reading
     /// persisted state. *Corruption* is not an error: a torn journal
     /// tail is quarantined (`serve.journal.quarantine`) and the legal
-    /// prefix salvaged; a corrupt meta is quarantined
-    /// (`meta.quarantine`) and its campaign dropped from recovery.
+    /// prefix salvaged.
     pub fn open(cfg: DaemonConfig) -> std::io::Result<Daemon> {
         assert!(cfg.workers >= 1, "daemon needs at least one worker");
         let registry = Arc::new(MetricsRegistry::new());
@@ -655,38 +633,21 @@ impl Daemon {
             journal: None,
         };
         if let Some(state_dir) = &cfg.state_dir {
-            std::fs::create_dir_all(campaigns_root(state_dir))?;
-            let recovered_journal = recover_journal(&journal_path(state_dir))?;
-            if recovered_journal.quarantined_lines > 0 {
+            std::fs::create_dir_all(state_dir)?;
+            let recovered = recover_journal(&journal_path(state_dir))?;
+            if recovered.quarantined_lines > 0 {
                 registry
                     .serve_journal_recovered
-                    .add(recovered_journal.quarantined_lines as u64);
+                    .add(recovered.quarantined_lines as u64);
             }
             let mut journal = Journal::open(&journal_path(state_dir))?;
             journal.set_faults(cfg.faults.clone());
             st.journal = Some(journal);
-            let mut recovered: Vec<Campaign> = Vec::new();
-            for entry in std::fs::read_dir(campaigns_root(state_dir))? {
-                let meta = entry?.path().join("meta");
-                if !meta.exists() {
-                    continue;
-                }
-                match decode_meta(&std::fs::read_to_string(&meta)?) {
-                    Ok(status) => recovered.push(Campaign::from_status(status)),
-                    Err(_) => {
-                        // Torn meta (killed mid-rename on a filesystem
-                        // without atomic rename, or injected): quarantine
-                        // it; the campaign is lost but the daemon is not.
-                        let q = crate::journal::append_suffix(&meta, ".quarantine");
-                        let _ = std::fs::rename(&meta, q);
-                        registry.serve_checkpoint_quarantined.inc();
-                    }
-                }
-            }
-            recovered.sort_by_key(|c| c.id);
-            for c in recovered {
-                st.next_id = st.next_id.max(c.id + 1);
-                st.campaigns.insert(c.id, c);
+            // Later records overwrite earlier ones: the last one wins.
+            for r in recovered.records {
+                st.next_id = st.next_id.max(r.status.id + 1);
+                st.campaigns
+                    .insert(r.status.id, Campaign::from_status(r.status));
             }
         }
         let inner = Arc::new(Inner {
@@ -709,7 +670,7 @@ impl Daemon {
                 .collect();
             for id in running {
                 inner
-                    .apply(&mut st, id, Event::Requeue, None)
+                    .apply(&mut st, id, Event::Requeue, false)
                     .expect("running -> queued is legal");
             }
         }
@@ -734,13 +695,16 @@ impl Daemon {
     /// A spec carrying an idempotency key the daemon has already
     /// admitted returns the *original* campaign id without creating a
     /// new campaign — a client that lost the first reply can resubmit
-    /// safely. The key survives restarts (it rides in the meta file).
+    /// safely. The key survives restarts (it rides in the `submit`
+    /// journal record).
     ///
     /// # Errors
     ///
     /// [`ServeError::BadSpec`] / [`ServeError::UnknownSubject`] on an
     /// unrunnable spec, [`ServeError::Stopping`] during shutdown,
-    /// [`ServeError::Overloaded`] past the admission cap.
+    /// [`ServeError::Overloaded`] past the admission cap,
+    /// [`ServeError::Unavailable`] when the `submit` record could not be
+    /// written (no campaign was created).
     pub fn submit(&self, spec: CampaignSpec) -> Result<u64, ServeError> {
         if self.inner.stopping.load(Ordering::SeqCst) {
             return Err(ServeError::Stopping);
@@ -777,9 +741,16 @@ impl Daemon {
             }
         }
         let id = st.next_id;
-        st.next_id += 1;
+        if let Some(state_dir) = &self.inner.cfg.state_dir {
+            // A new campaign has no checkpoint. One left under this id
+            // by a campaign whose journal records were quarantined
+            // belongs to a different spec and must not be resumed.
+            let _ = std::fs::remove_dir_all(campaign_dir(state_dir, id));
+        }
         let c = Campaign::fresh(id, spec);
-        self.inner.persist_meta(&c);
+        self.inner
+            .journal(&mut st, Event::Submit, None, &c.status())?;
+        st.next_id += 1;
         st.campaigns.insert(id, c);
         self.inner.registry.serve_submitted.inc();
         self.inner.work.notify_one();
@@ -804,7 +775,9 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// [`ServeError::NoSuchCampaign`] / [`ServeError::Illegal`].
+    /// [`ServeError::NoSuchCampaign`] / [`ServeError::Illegal`], or
+    /// [`ServeError::Unavailable`] when an immediate transition could
+    /// not be journaled (the campaign is unchanged).
     pub fn pause(&self, id: u64) -> Result<Phase, ServeError> {
         let mut st = self.inner.state.lock().expect("daemon state poisoned");
         let c = st
@@ -818,7 +791,7 @@ impl Daemon {
             c.pause_requested = true;
             return Ok(Phase::Running);
         }
-        self.inner.apply(&mut st, id, Event::Pause, None)
+        self.inner.apply(&mut st, id, Event::Pause, true)
     }
 
     /// Resumes a paused campaign (or withdraws a pending pause
@@ -826,7 +799,7 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// [`ServeError::NoSuchCampaign`] / [`ServeError::Illegal`].
+    /// As [`pause`](Self::pause).
     pub fn resume(&self, id: u64) -> Result<Phase, ServeError> {
         let mut st = self.inner.state.lock().expect("daemon state poisoned");
         let c = st
@@ -837,7 +810,7 @@ impl Daemon {
             c.pause_requested = false;
             return Ok(Phase::Running);
         }
-        let phase = self.inner.apply(&mut st, id, Event::Resume, None)?;
+        let phase = self.inner.apply(&mut st, id, Event::Resume, true)?;
         self.inner.work.notify_one();
         Ok(phase)
     }
@@ -848,7 +821,7 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// [`ServeError::NoSuchCampaign`] / [`ServeError::Illegal`].
+    /// As [`pause`](Self::pause).
     pub fn cancel(&self, id: u64) -> Result<Phase, ServeError> {
         let mut st = self.inner.state.lock().expect("daemon state poisoned");
         let c = st
@@ -860,7 +833,7 @@ impl Daemon {
             c.cancel_requested = true;
             return Ok(Phase::Running);
         }
-        let phase = self.inner.apply(&mut st, id, Event::Cancel, None)?;
+        let phase = self.inner.apply(&mut st, id, Event::Cancel, true)?;
         st.campaigns.get_mut(&id).expect("campaign vanished").fleet = None;
         Ok(phase)
     }
@@ -1077,12 +1050,20 @@ mod tests {
         let records = read_journal(&journal_path(&dir)).unwrap();
         assert!(records
             .iter()
-            .any(|r| r.event == Event::Finish && r.digest == Some(uninterrupted.digest())));
-        let mut phase = Phase::Queued;
-        for r in records.iter().filter(|r| r.id == id) {
-            assert_eq!(r.from, phase, "journal gap at seq {}", r.seq);
-            phase = transition(r.from, r.event).expect("journaled transition is legal");
-            assert_eq!(phase, r.to);
+            .any(|r| r.event == Event::Finish && r.status.digest == Some(uninterrupted.digest())));
+        // Replay from the submit record: every later record is a legal
+        // edge from the phase before it.
+        let mut phase = None;
+        for r in records.iter().filter(|r| r.status.id == id) {
+            phase = Some(match (phase, r.from) {
+                (None, None) => Phase::Queued,
+                (Some(p), Some(from)) => {
+                    assert_eq!(from, p, "journal gap at seq {}", r.seq);
+                    transition(from, r.event).expect("journaled transition is legal")
+                }
+                _ => panic!("seq {}: submit must open the history, once", r.seq),
+            });
+            assert_eq!(phase, Some(r.status.phase));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1193,14 +1174,84 @@ mod tests {
     }
 
     #[test]
-    fn meta_round_trips() {
-        let mut c = Campaign::fresh(3, small_spec("csv", 4));
-        c.phase = Phase::Failed;
-        c.error = Some("epoch slice panicked: boom with spaces".into());
-        c.epoch = 2;
-        c.spent = 120;
-        let back = decode_meta(&encode_meta(&c.status())).unwrap();
-        assert_eq!(back, c.status());
-        assert!(decode_meta("wrong header\n").is_err());
+    fn unjournaled_client_transitions_are_refused_and_change_nothing() {
+        let dir = tmpdir("unavailable");
+        let daemon = Daemon::open(DaemonConfig::persistent(1, &dir)).unwrap();
+        // `a` holds the only worker for the whole test (the lowest id
+        // wins every pick), so `b` stays off the pool.
+        let a = daemon
+            .submit(CampaignSpec {
+                execs: 10_000_000,
+                ..small_spec("arith", 1)
+            })
+            .unwrap();
+        let b = daemon.submit(small_spec("dyck", 2)).unwrap();
+        let enospc = Arc::new(FaultPlan::new(
+            1,
+            pdf_chaos::FaultSpec {
+                enospc_per_mille: 1000,
+                ..pdf_chaos::FaultSpec::QUIET
+            },
+        ));
+        let set_faults = |plan: Option<Arc<FaultPlan>>| {
+            let mut st = daemon.inner.state.lock().unwrap();
+            st.journal.as_mut().unwrap().set_faults(plan);
+        };
+        let refused = ServeError::Unavailable {
+            retry_after_ms: UNAVAILABLE_RETRY_MS,
+        };
+        let unavailable = Err(refused.clone());
+
+        set_faults(Some(Arc::clone(&enospc)));
+        assert_eq!(daemon.pause(b), unavailable);
+        assert_eq!(daemon.status(b).unwrap().phase, Phase::Queued);
+        set_faults(None);
+        assert_eq!(daemon.pause(b), Ok(Phase::Paused));
+        set_faults(Some(Arc::clone(&enospc)));
+        assert_eq!(daemon.resume(b), unavailable);
+        assert_eq!(daemon.cancel(b), unavailable);
+        assert_eq!(daemon.status(b).unwrap().phase, Phase::Paused);
+        assert_eq!(daemon.submit(small_spec("csv", 3)).unwrap_err(), refused);
+        assert!(
+            daemon.status(b + 1).is_none(),
+            "refused submit left a campaign"
+        );
+        daemon.hard_stop();
+
+        // Only what was journaled survives: `b` paused, `a` requeued.
+        let daemon = Daemon::open(DaemonConfig::persistent(1, &dir)).unwrap();
+        assert_eq!(daemon.status(b).unwrap().phase, Phase::Paused);
+        assert!(daemon.status(a).is_some());
+        assert!(daemon.status(b + 1).is_none());
+        daemon.hard_stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reused_id_ignores_checkpoints_of_a_quarantined_campaign() {
+        let dir = tmpdir("reused-id");
+        let old = Daemon::open(DaemonConfig::persistent(1, &dir)).unwrap();
+        let id = old.submit(small_spec("arith", 1)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while old.status(id).unwrap().epoch < 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        old.hard_stop();
+        assert!(checkpoint_dir(&dir, id).exists());
+        // Every record lost to quarantine: the id is free again, but the
+        // old campaign's checkpoint is still on disk.
+        std::fs::write(journal_path(&dir), "garbage\n").unwrap();
+
+        let daemon = Daemon::open(DaemonConfig::persistent(1, &dir)).unwrap();
+        let spec = small_spec("dyck", 2);
+        assert_eq!(daemon.submit(spec.clone()).unwrap(), id);
+        assert!(daemon.wait_idle(Duration::from_secs(60)));
+        let status = daemon.status(id).unwrap();
+        assert_eq!(status.phase, Phase::Done, "{status:?}");
+        let info = pdf_subjects::by_name("dyck").unwrap();
+        let baseline = Fleet::new(info.subject, fleet_config(&spec)).unwrap().run();
+        assert_eq!(status.digest, Some(baseline.digest()));
+        daemon.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,21 +1,24 @@
-//! The daemon's append-only transition journal (`pdf-serve v1`).
+//! The daemon's append-only campaign journal (`pdf-serve v2`).
 //!
-//! Every lifecycle transition the daemon accepts is appended to
-//! `<state_dir>/serve.journal` before it takes effect, in the same
-//! header-plus-`tag k=v` line style as the workspace's other codecs:
+//! `<state_dir>/serve.journal` is the only durable record of the
+//! daemon's campaigns. Every record carries the campaign's whole status
+//! *after* its event, in the wire's [`status_fields`] encoding, so the
+//! last record for an id is that campaign's state:
 //!
 //! ```text
-//! pdf-serve v1
-//! txn seq=0 id=1 ev=dispatch from=queued to=running
-//! txn seq=1 id=1 ev=finish from=running to=done digest=91aa50fe01c0ef2d
+//! pdf-serve v2
+//! txn seq=0 ev=submit id=1 state=queued subject=arith seed=5 execs=400 shards=2 sync=60 mode=full epoch=0 spent=0 valid=0
+//! txn seq=1 ev=dispatch from=queued id=1 state=running subject=arith ... valid=0
+//! txn seq=2 ev=finish from=running id=1 state=done subject=arith ... digest=91aa50fe01c0ef2d coverage=07c1d2e3f4a5b6c7
 //! ```
 //!
-//! `seq` is a global monotonically increasing counter (restarts resume
-//! it from the last persisted record), `digest` is attached to `finish`
-//! records so final report digests are part of the durable history —
-//! the kill/resume test diffs exactly these. The journal is replayable:
-//! [`read_journal`] re-parses every record and the soak test re-checks
-//! each one against [`transition`](crate::lifecycle::transition).
+//! A `submit` record has no `from` phase: it creates the campaign in
+//! `Queued`. Every other record is one lifecycle transition. `seq` is
+//! one global counter, dense across restarts. `finish` records carry
+//! the final digest, coverage, epoch, spent and valid counts; `fail`
+//! records carry the failure as `msg`. The journal is replayable:
+//! [`read_journal`] re-parses every record, and the soak tests re-check
+//! each transition against [`transition`](crate::lifecycle::transition).
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -25,79 +28,67 @@ use std::sync::Arc;
 use pdf_chaos::{ChaosWriter, FaultPlan, OpKind};
 
 use crate::lifecycle::{Event, Phase};
-use crate::wire::WireError;
+use crate::wire::{
+    encode_fields, lookup, parse_fields, parse_u64, require, status_fields, status_from_fields,
+    CampaignStatus, WireError, RESPONSE_KEYS,
+};
 
 /// The journal header/version line.
-pub const JOURNAL_HEADER: &str = "pdf-serve v1";
+pub const JOURNAL_HEADER: &str = "pdf-serve v2";
 
-/// One journaled lifecycle transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One journal record: a campaign's status right after an event.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalRecord {
     /// Global sequence number, dense and increasing across restarts.
     pub seq: u64,
-    /// The campaign the transition applies to.
-    pub id: u64,
     /// The event that fired.
     pub event: Event,
-    /// Phase before the event.
-    pub from: Phase,
-    /// Phase after the event.
-    pub to: Phase,
-    /// The final fleet-report digest, present on `finish` records.
-    pub digest: Option<u64>,
+    /// Phase before the event; `None` exactly on `submit` records.
+    pub from: Option<Phase>,
+    /// The campaign's status after the event (its id, its phase, and
+    /// on `finish` its final digest).
+    pub status: CampaignStatus,
 }
 
 impl JournalRecord {
     fn encode(&self) -> String {
-        let mut line = format!(
-            "txn seq={} id={} ev={} from={} to={}",
-            self.seq, self.id, self.event, self.from, self.to
-        );
-        if let Some(d) = self.digest {
-            line.push_str(&format!(" digest={d:016x}"));
+        let mut fields = vec![
+            ("seq".to_string(), self.seq.to_string()),
+            ("ev".to_string(), self.event.name().to_string()),
+        ];
+        if let Some(from) = self.from {
+            fields.push(("from".to_string(), from.name().to_string()));
         }
-        line
+        fields.extend(status_fields(&self.status));
+        encode_fields("txn", &fields)
     }
 
     fn decode(line: &str) -> Result<JournalRecord, WireError> {
         let rest = line
             .strip_prefix("txn ")
             .ok_or_else(|| WireError::BadResponse(format!("not a txn record: {line:?}")))?;
-        let mut seq = None;
-        let mut id = None;
-        let mut event = None;
-        let mut from = None;
-        let mut to = None;
-        let mut digest = None;
-        for pair in rest.split_whitespace() {
-            let (k, v) = pair.split_once('=').ok_or_else(|| WireError::BadValue {
-                key: pair.into(),
-                reason: "expected k=v".into(),
-            })?;
-            let bad = |reason: &str| WireError::BadValue {
-                key: k.into(),
-                reason: format!("{reason}: {v:?}"),
-            };
-            match k {
-                "seq" => seq = Some(v.parse().map_err(|_| bad("expected integer"))?),
-                "id" => id = Some(v.parse().map_err(|_| bad("expected integer"))?),
-                "ev" => event = Some(Event::parse(v).ok_or_else(|| bad("unknown event"))?),
-                "from" => from = Some(Phase::parse(v).ok_or_else(|| bad("unknown phase"))?),
-                "to" => to = Some(Phase::parse(v).ok_or_else(|| bad("unknown phase"))?),
-                "digest" => {
-                    digest =
-                        Some(u64::from_str_radix(v, 16).map_err(|_| bad("expected hex digest"))?)
-                }
-                other => return Err(WireError::UnexpectedKey(other.into())),
-            }
+        let keys: Vec<&str> = ["seq", "ev", "from"]
+            .into_iter()
+            .chain(RESPONSE_KEYS)
+            .collect();
+        let fields = parse_fields(rest, &keys)?;
+        let bad = |key: &str, reason: &str| WireError::BadValue {
+            key: key.into(),
+            reason: reason.into(),
+        };
+        let event =
+            Event::parse(require(&fields, "ev")?).ok_or_else(|| bad("ev", "unknown event"))?;
+        let from = lookup(&fields, "from")
+            .map(|v| Phase::parse(v).ok_or_else(|| bad("from", "unknown phase")))
+            .transpose()?;
+        if from.is_none() != (event == Event::Submit) {
+            return Err(bad("from", "required on every record but submit"));
         }
         Ok(JournalRecord {
-            seq: seq.ok_or_else(|| WireError::Missing("seq".into()))?,
-            id: id.ok_or_else(|| WireError::Missing("id".into()))?,
-            event: event.ok_or_else(|| WireError::Missing("ev".into()))?,
-            from: from.ok_or_else(|| WireError::Missing("from".into()))?,
-            to: to.ok_or_else(|| WireError::Missing("to".into()))?,
-            digest,
+            seq: parse_u64("seq", require(&fields, "seq")?)?,
+            event,
+            from,
+            status: status_from_fields(&fields)?,
         })
     }
 }
@@ -126,6 +117,7 @@ impl Journal {
             let mut f = File::create(path)?;
             writeln!(f, "{JOURNAL_HEADER}")?;
             f.sync_all()?;
+            sync_parent_dir(path)?;
             0
         };
         let file = OpenOptions::new().append(true).open(path)?;
@@ -138,16 +130,17 @@ impl Journal {
     }
 
     /// Installs a fault plan: every subsequent [`append`](Self::append)
-    /// consults it for injected torn writes, ENOSPC and delays.
+    /// consults it once for an injected torn write, ENOSPC or delay.
     pub fn set_faults(&mut self, plan: Option<Arc<FaultPlan>>) {
         self.faults = plan;
     }
 
-    /// Appends one transition record and flushes it to disk.
+    /// Appends one record and syncs it to disk: when this returns `Ok`,
+    /// the record survives a crash.
     ///
     /// # Errors
     ///
-    /// I/O errors from the append or flush — including injected ones
+    /// I/O errors from the write or the sync — including injected ones
     /// when a fault plan is installed. A failed append rolls the file
     /// back to its pre-append length (best effort), so a *live* daemon
     /// never leaves a torn line mid-journal; torn tails come only from
@@ -156,23 +149,22 @@ impl Journal {
     /// history stays gap-free.
     pub fn append(
         &mut self,
-        id: u64,
         event: Event,
-        from: Phase,
-        to: Phase,
-        digest: Option<u64>,
+        from: Option<Phase>,
+        status: &CampaignStatus,
     ) -> std::io::Result<JournalRecord> {
         let record = JournalRecord {
             seq: self.next_seq,
-            id,
             event,
             from,
-            to,
-            digest,
+            status: status.clone(),
         };
+        let line = record.encode() + "\n";
         let rollback_to = self.file.metadata()?.len();
         let mut w = ChaosWriter::new(&mut self.file, self.faults.clone(), OpKind::JournalWrite);
-        let wrote = writeln!(w, "{}", record.encode()).and_then(|()| self.file.flush());
+        let wrote = w
+            .write_all(line.as_bytes())
+            .and_then(|()| self.file.sync_data());
         if let Err(e) = wrote {
             let _ = self.file.set_len(rollback_to);
             return Err(e);
@@ -217,6 +209,15 @@ pub fn read_journal(path: &Path) -> std::io::Result<Vec<JournalRecord>> {
     Ok(records)
 }
 
+/// Syncs the directory holding `path`, so a file just created or
+/// renamed there survives a crash.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => File::open(dir)?.sync_all(),
+        _ => Ok(()),
+    }
+}
+
 /// `<path><suffix>`, appended to the full file name (unlike
 /// `Path::with_extension`, which would *replace* `.journal`).
 pub(crate) fn append_suffix(path: &Path, suffix: &str) -> PathBuf {
@@ -229,7 +230,7 @@ pub(crate) fn append_suffix(path: &Path, suffix: &str) -> PathBuf {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveredJournal {
     /// The gap-free legal prefix: every record up to (not including)
-    /// the first unparseable or sequence-breaking line.
+    /// the first unparseable, unterminated or sequence-breaking line.
     pub records: Vec<JournalRecord>,
     /// Lines cut from the journal and appended to the quarantine file
     /// (zero when the journal was clean).
@@ -245,13 +246,15 @@ pub struct RecoveredJournal {
 /// A hard kill mid-append leaves a torn final line; a torn storage
 /// write can leave worse. Instead of refusing to restart (what
 /// [`read_journal`] does), this cuts the journal at the first
-/// unparseable line *or* the first sequence gap, appends the cut tail
-/// to `<path>.quarantine` for post-mortems, and rewrites the journal
-/// (tmp plus rename) to exactly the salvaged prefix — after which
-/// [`Journal::open`] succeeds and continues the sequence densely.
+/// unparseable line, the first sequence gap or a final line with no
+/// newline (a prefix of a record can parse as a different record),
+/// appends the cut tail to `<path>.quarantine` for post-mortems, and
+/// rewrites the journal (tmp plus rename) to exactly the salvaged
+/// prefix — after which [`Journal::open`] succeeds and continues the
+/// sequence densely.
 ///
 /// A missing file recovers to an empty journal. An unreadable *header*
-/// quarantines the entire file.
+/// quarantines the entire file; an empty one is given a header.
 ///
 /// # Errors
 ///
@@ -272,15 +275,17 @@ pub fn recover_journal(path: &Path) -> std::io::Result<RecoveredJournal> {
         .split(|&b| b == b'\n')
         .map(|l| String::from_utf8_lossy(l).into_owned())
         .collect();
+    // Lines followed by a newline; a final line without one is torn.
+    let complete = lines.len() - 1;
     if lines.last().is_some_and(String::is_empty) {
         lines.pop(); // the split artifact after a trailing newline
     }
-    let header_ok = lines.first().is_some_and(|h| h == JOURNAL_HEADER);
+    let header_ok = complete > 0 && lines[0] == JOURNAL_HEADER;
     let mut records = Vec::new();
     // Index of the first line that does NOT belong to the legal prefix.
     let mut cut = if header_ok { 1 } else { 0 };
     if header_ok {
-        for (idx, line) in lines.iter().enumerate().skip(1) {
+        for (idx, line) in lines.iter().enumerate().take(complete).skip(1) {
             if line.trim().is_empty() {
                 cut = idx + 1;
                 continue;
@@ -304,7 +309,10 @@ pub fn recover_journal(path: &Path) -> std::io::Result<RecoveredJournal> {
         }
         q.sync_all()?;
         quarantine_path = Some(qpath);
-        // Rewrite the journal to the salvaged prefix, atomically.
+    }
+    // Rewrite the journal to the salvaged prefix, atomically. A file
+    // with no header (a crash can leave it empty) gets one.
+    if !tail.is_empty() || !header_ok {
         let tmp = append_suffix(path, ".tmp");
         {
             let mut f = File::create(&tmp)?;
@@ -315,6 +323,7 @@ pub fn recover_journal(path: &Path) -> std::io::Result<RecoveredJournal> {
             f.sync_all()?;
         }
         std::fs::rename(&tmp, path)?;
+        sync_parent_dir(path)?;
     }
     Ok(RecoveredJournal {
         records,
@@ -326,6 +335,7 @@ pub fn recover_journal(path: &Path) -> std::io::Result<RecoveredJournal> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::CampaignSpec;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -335,21 +345,81 @@ mod tests {
         dir
     }
 
+    fn status(id: u64, phase: Phase) -> CampaignStatus {
+        CampaignStatus {
+            id,
+            phase,
+            spec: CampaignSpec::new("arith", id, 400),
+            epoch: 0,
+            spent: 0,
+            valid: 0,
+            digest: None,
+            coverage: None,
+            error: None,
+        }
+    }
+
+    fn finished(id: u64, digest: u64) -> CampaignStatus {
+        CampaignStatus {
+            epoch: 4,
+            spent: 400,
+            valid: 3,
+            digest: Some(digest),
+            coverage: Some(!digest),
+            ..status(id, Phase::Done)
+        }
+    }
+
     #[test]
     fn append_and_read_round_trip() {
         let dir = tmpdir("rt");
         let path = dir.join("serve.journal");
         let mut j = Journal::open(&path).unwrap();
-        j.append(1, Event::Dispatch, Phase::Queued, Phase::Running, None)
-            .unwrap();
-        j.append(1, Event::Finish, Phase::Running, Phase::Done, Some(0xabcd))
-            .unwrap();
+        let mut keyed = status(1, Phase::Queued);
+        keyed.spec.idempotency_key = Some("k-1".into());
+        keyed.spec.deadline_ms = Some(900);
+        let failed = CampaignStatus {
+            error: Some("epoch slice panicked: boom with spaces".into()),
+            ..status(2, Phase::Failed)
+        };
+        let written = [
+            j.append(Event::Submit, None, &keyed).unwrap(),
+            j.append(
+                Event::Dispatch,
+                Some(Phase::Queued),
+                &status(1, Phase::Running),
+            )
+            .unwrap(),
+            j.append(Event::Finish, Some(Phase::Running), &finished(1, 0xabcd))
+                .unwrap(),
+            j.append(Event::Fail, Some(Phase::Running), &failed)
+                .unwrap(),
+        ];
         let records = read_journal(&path).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].seq, 0);
-        assert_eq!(records[1].digest, Some(0xabcd));
-        assert_eq!(records[1].event, Event::Finish);
+        assert_eq!(records, written);
+        assert_eq!(records[2].seq, 2);
+        assert_eq!(records[2].status.digest, Some(0xabcd));
+        assert_eq!(
+            records[0].status.spec.idempotency_key.as_deref(),
+            Some("k-1")
+        );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn from_is_required_exactly_off_submit_records() {
+        let line = JournalRecord {
+            seq: 0,
+            event: Event::Submit,
+            from: None,
+            status: status(1, Phase::Queued),
+        }
+        .encode();
+        assert!(JournalRecord::decode(&line).is_ok());
+        let with_from = line.replace("ev=submit", "ev=submit from=queued");
+        assert!(JournalRecord::decode(&with_from).is_err());
+        let no_from = line.replace("ev=submit", "ev=dispatch");
+        assert!(JournalRecord::decode(&no_from).is_err());
     }
 
     #[test]
@@ -358,7 +428,7 @@ mod tests {
         let path = dir.join("serve.journal");
         {
             let mut j = Journal::open(&path).unwrap();
-            j.append(7, Event::Dispatch, Phase::Queued, Phase::Running, None)
+            j.append(Event::Submit, None, &status(7, Phase::Queued))
                 .unwrap();
             assert_eq!(j.next_seq(), 1);
         }
@@ -366,7 +436,7 @@ mod tests {
             let mut j = Journal::open(&path).unwrap();
             assert_eq!(j.next_seq(), 1);
             let r = j
-                .append(7, Event::Pause, Phase::Running, Phase::Paused, None)
+                .append(Event::Pause, Some(Phase::Queued), &status(7, Phase::Paused))
                 .unwrap();
             assert_eq!(r.seq, 1);
         }
@@ -381,14 +451,18 @@ mod tests {
         let path = dir.join("serve.journal");
         {
             let mut j = Journal::open(&path).unwrap();
-            j.append(1, Event::Dispatch, Phase::Queued, Phase::Running, None)
+            j.append(Event::Submit, None, &status(1, Phase::Queued))
                 .unwrap();
-            j.append(1, Event::Finish, Phase::Running, Phase::Done, Some(0xfeed))
-                .unwrap();
+            j.append(
+                Event::Dispatch,
+                Some(Phase::Queued),
+                &status(1, Phase::Running),
+            )
+            .unwrap();
         }
         // Simulate a hard kill mid-append: a torn final line.
         let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("txn seq=2 id=2 ev=dispa");
+        text.push_str("txn seq=2 ev=finish from=running id=1 state=dispa");
         std::fs::write(&path, &text).unwrap();
 
         let rec = recover_journal(&path).unwrap();
@@ -397,14 +471,44 @@ mod tests {
         let qpath = rec.quarantine_path.unwrap();
         assert!(std::fs::read_to_string(&qpath)
             .unwrap()
-            .contains("ev=dispa"));
+            .contains("state=dispa"));
 
         // The rewritten journal is clean and continues the sequence.
         let mut j = Journal::open(&path).unwrap();
         assert_eq!(j.next_seq(), 2);
-        j.append(2, Event::Dispatch, Phase::Queued, Phase::Running, None)
+        j.append(Event::Submit, None, &status(2, Phase::Queued))
             .unwrap();
         assert_eq!(read_journal(&path).unwrap().len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unterminated_final_line_is_torn_even_when_it_parses() {
+        let dir = tmpdir("unterminated");
+        let path = dir.join("serve.journal");
+        {
+            let mut j = Journal::open(&path).unwrap();
+            j.append(Event::Submit, None, &status(1, Phase::Queued))
+                .unwrap();
+            j.append(
+                Event::Dispatch,
+                Some(Phase::Queued),
+                &status(1, Phase::Running),
+            )
+            .unwrap();
+            j.append(Event::Finish, Some(Phase::Running), &finished(1, 0xfeed))
+                .unwrap();
+        }
+        // Cut the last record inside its coverage digest: the prefix is
+        // a well-formed record with the wrong coverage.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let torn = &text[..text.len() - 5];
+        assert!(JournalRecord::decode(torn.lines().last().unwrap()).is_ok());
+        std::fs::write(&path, torn).unwrap();
+
+        let rec = recover_journal(&path).unwrap();
+        assert_eq!(rec.records.len(), 2);
+        assert_eq!(rec.quarantined_lines, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -412,13 +516,19 @@ mod tests {
     fn recovery_cuts_at_sequence_gap() {
         let dir = tmpdir("gap");
         let path = dir.join("serve.journal");
-        std::fs::write(
-            &path,
-            "pdf-serve v1\n\
-             txn seq=0 id=1 ev=dispatch from=queued to=running\n\
-             txn seq=5 id=1 ev=pause from=running to=paused\n",
-        )
-        .unwrap();
+        {
+            let mut j = Journal::open(&path).unwrap();
+            j.append(Event::Submit, None, &status(1, Phase::Queued))
+                .unwrap();
+            j.append(
+                Event::Dispatch,
+                Some(Phase::Queued),
+                &status(1, Phase::Running),
+            )
+            .unwrap();
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("txn seq=1 ", "txn seq=5 ")).unwrap();
         let rec = recover_journal(&path).unwrap();
         assert_eq!(rec.records.len(), 1);
         assert_eq!(rec.quarantined_lines, 1);
@@ -433,7 +543,7 @@ mod tests {
         assert!(!path.exists(), "recovery must not invent a journal");
         {
             let mut j = Journal::open(&path).unwrap();
-            j.append(1, Event::Dispatch, Phase::Queued, Phase::Running, None)
+            j.append(Event::Submit, None, &status(1, Phase::Queued))
                 .unwrap();
         }
         let before = std::fs::read_to_string(&path).unwrap();
@@ -454,6 +564,11 @@ mod tests {
         assert_eq!(rec.records.len(), 0);
         assert_eq!(rec.quarantined_lines, 2);
         assert!(read_journal(&path).unwrap().is_empty());
+        // A crash between creating the file and syncing its header.
+        std::fs::write(&path, "").unwrap();
+        let rec = recover_journal(&path).unwrap();
+        assert_eq!(rec.quarantined_lines, 0);
+        assert!(Journal::open(&path).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -462,7 +577,7 @@ mod tests {
         let dir = tmpdir("torn-append");
         let path = dir.join("serve.journal");
         let mut j = Journal::open(&path).unwrap();
-        j.append(1, Event::Dispatch, Phase::Queued, Phase::Running, None)
+        j.append(Event::Submit, None, &status(1, Phase::Queued))
             .unwrap();
         // Every storage write tears: the append must fail but leave the
         // journal exactly as it was, with seq unconsumed.
@@ -473,14 +588,15 @@ mod tests {
                 ..pdf_chaos::FaultSpec::QUIET
             },
         ))));
+        let running = status(1, Phase::Running);
         let err = j
-            .append(1, Event::Finish, Phase::Running, Phase::Done, Some(1))
+            .append(Event::Dispatch, Some(Phase::Queued), &running)
             .unwrap_err();
         assert!(pdf_chaos::is_injected(&err), "unexpected error {err}");
         assert_eq!(j.next_seq(), 1);
         j.set_faults(None);
         let r = j
-            .append(1, Event::Finish, Phase::Running, Phase::Done, Some(1))
+            .append(Event::Dispatch, Some(Phase::Queued), &running)
             .unwrap();
         assert_eq!(r.seq, 1);
         assert_eq!(read_journal(&path).unwrap().len(), 2);
@@ -493,7 +609,7 @@ mod tests {
         let path = dir.join("serve.journal");
         std::fs::write(
             &path,
-            "pdf-serve v1\ntxn seq=0 id=1 ev=warp from=queued to=running\n",
+            format!("{JOURNAL_HEADER}\ntxn seq=0 ev=warp from=queued id=1 state=running\n"),
         )
         .unwrap();
         assert!(read_journal(&path).is_err());

@@ -5,8 +5,9 @@
 //! multiplexes them across a bounded worker pool. Each campaign is a
 //! [`pdf_fleet::Fleet`] advanced one synchronization epoch per
 //! scheduler slice, its lifecycle a first-class state machine
-//! ([`Phase`]/[`Event`]/[`transition`]) with every accepted transition
-//! appended to an on-disk [journal] before it takes effect.
+//! ([`Phase`]/[`Event`]/[`transition`]) with the submission and every
+//! accepted transition appended to an on-disk [journal] before it takes
+//! effect.
 //!
 //! The layers, bottom up:
 //!
@@ -15,7 +16,8 @@
 //!   source of truth.
 //! - [`wire`] — the `pdf-wire v1` codec: requests, responses, campaign
 //!   specs and statuses as `tag k=v` lines.
-//! - [`journal`] — the append-only `pdf-serve v1` transition journal.
+//! - [`journal`] — the append-only `pdf-serve v2` journal, the only
+//!   durable record of a campaign.
 //! - [`daemon`] — the scheduler: bounded worker pool, deadline-first
 //!   slice dispatch, per-boundary checkpointing, restart recovery.
 //! - [`server`] / [`client`] — the TCP front end and the blocking
@@ -23,14 +25,17 @@
 //!
 //! # Durability contract
 //!
-//! With a state directory, disk is current at every slice boundary:
-//! fleet checkpoint (`pdf-checkpoint`/`pdf-fleet` codecs), atomic
-//! campaign meta, journaled transitions. Kill the daemon at any moment
-//! and [`Daemon::open`] on the same directory resumes every in-flight
-//! campaign; because re-running the lost epoch from its checkpoint is
-//! deterministic, the final report digests are **byte-identical** to an
-//! uninterrupted run. The serve soak and kill/resume tests hold this
-//! contract under hundreds of interleaved campaigns.
+//! With a state directory, the journal holds every campaign's spec and
+//! status: a submission or client transition is synced to it before
+//! the daemon answers `ok`, or refused with [`ServeError::Unavailable`].
+//! Each slice boundary writes the fleet checkpoint
+//! (`pdf-checkpoint`/`pdf-fleet` codecs) and nothing else. Kill the
+//! daemon at any moment and [`Daemon::open`] on the same directory
+//! resumes every acknowledged campaign; because re-running the lost
+//! epoch from its checkpoint is deterministic, the final report digests
+//! are **byte-identical** to an uninterrupted run. The serve soak,
+//! chaos soak and kill/resume tests hold this contract under hundreds
+//! of interleaved campaigns.
 //!
 //! # Example
 //!

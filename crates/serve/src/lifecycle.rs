@@ -7,11 +7,11 @@
 //! (see [`journal`](crate::journal)), so the full lifecycle history of
 //! every campaign is reconstructible from the state directory.
 //!
-//! The diagram (ISSUE 7 / DESIGN.md §13):
+//! The diagram (DESIGN.md §13):
 //!
 //! ```text
-//!            Dispatch              Pause
-//!   Queued ───────────▶ Running ──────────▶ Paused
+//!  Submit    Dispatch              Pause
+//! ──▶ Queued ─────────▶ Running ──────────▶ Paused
 //!     │ ▲ Requeue          │ ◀──────────────── │
 //!     │ └───────────────── │      Resume       │
 //!     │    Pause ▲         │ Finish / Fail     │
@@ -26,7 +26,8 @@
 //! slot occupancy is scheduler bookkeeping, not lifecycle state.
 //! `Requeue` is the restart-recovery edge: a campaign whose persisted
 //! phase is `Running` when the daemon comes back up is requeued, since
-//! whatever worker held it is gone.
+//! whatever worker held it is gone. `Submit` is not an edge: it creates
+//! the campaign in `Queued`.
 
 use std::fmt;
 
@@ -50,6 +51,10 @@ pub enum Phase {
 /// An event applied to a campaign's phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Event {
+    /// The daemon accepted the campaign. This event creates the
+    /// campaign in `Queued` rather than moving it between phases, so
+    /// [`transition`] rejects it from every phase.
+    Submit,
     /// A worker admitted the campaign to the pool for its first slice.
     Dispatch,
     /// A pause request took effect (at a slice boundary, or immediately
@@ -125,8 +130,9 @@ impl fmt::Display for Phase {
 }
 
 impl Event {
-    /// All seven events, for exhaustive iteration in tests.
-    pub const ALL: [Event; 7] = [
+    /// All eight events, for exhaustive iteration in tests.
+    pub const ALL: [Event; 8] = [
+        Event::Submit,
         Event::Dispatch,
         Event::Pause,
         Event::Resume,
@@ -139,6 +145,7 @@ impl Event {
     /// The journal name of the event (lowercase).
     pub fn name(self) -> &'static str {
         match self {
+            Event::Submit => "submit",
             Event::Dispatch => "dispatch",
             Event::Pause => "pause",
             Event::Resume => "resume",

@@ -277,23 +277,19 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 fn err_response(e: &ServeError) -> Response {
-    match e {
-        ServeError::Overloaded { retry_after_ms } => Response::Err {
-            code: "overloaded".to_string(),
-            retry_after_ms: Some(*retry_after_ms),
-            msg: e.to_string(),
-        },
-        _ => {
-            let code = match e {
-                ServeError::NoSuchCampaign(_) => "no-such-campaign",
-                ServeError::Illegal(_) => "illegal-transition",
-                ServeError::UnknownSubject(_) => "unknown-subject",
-                ServeError::BadSpec(_) => "bad-spec",
-                ServeError::Stopping => "stopping",
-                ServeError::Overloaded { .. } => unreachable!("handled above"),
-            };
-            Response::err(code, e.to_string())
-        }
+    let (code, retry_after_ms) = match e {
+        ServeError::NoSuchCampaign(_) => ("no-such-campaign", None),
+        ServeError::Illegal(_) => ("illegal-transition", None),
+        ServeError::UnknownSubject(_) => ("unknown-subject", None),
+        ServeError::BadSpec(_) => ("bad-spec", None),
+        ServeError::Stopping => ("stopping", None),
+        ServeError::Overloaded { retry_after_ms } => ("overloaded", Some(*retry_after_ms)),
+        ServeError::Unavailable { retry_after_ms } => ("unavailable", Some(*retry_after_ms)),
+    };
+    Response::Err {
+        code: code.to_string(),
+        retry_after_ms,
+        msg: e.to_string(),
     }
 }
 

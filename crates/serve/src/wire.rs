@@ -357,18 +357,18 @@ pub(crate) fn parse_fields(
     Ok(fields)
 }
 
-fn lookup<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
+pub(crate) fn lookup<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
     fields
         .iter()
         .find(|(k, _)| k == key)
         .map(|(_, v)| v.as_str())
 }
 
-fn require<'a>(fields: &'a [(String, String)], key: &str) -> Result<&'a str, WireError> {
+pub(crate) fn require<'a>(fields: &'a [(String, String)], key: &str) -> Result<&'a str, WireError> {
     lookup(fields, key).ok_or_else(|| WireError::Missing(key.into()))
 }
 
-fn parse_u64(key: &str, v: &str) -> Result<u64, WireError> {
+pub(crate) fn parse_u64(key: &str, v: &str) -> Result<u64, WireError> {
     v.parse().map_err(|_| WireError::BadValue {
         key: key.into(),
         reason: format!("expected an integer, got {v:?}"),
@@ -510,7 +510,7 @@ impl Request {
     }
 }
 
-fn encode_fields(tag: &str, fields: &[(String, String)]) -> String {
+pub(crate) fn encode_fields(tag: &str, fields: &[(String, String)]) -> String {
     let mut line = tag.to_string();
     for (i, (k, v)) in fields.iter().enumerate() {
         debug_assert!(is_token(k), "unencodable key {k:?}");

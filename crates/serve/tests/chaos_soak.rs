@@ -1,12 +1,14 @@
 //! Chaos soak: dozens of campaigns run to completion while a seeded
-//! [`FaultPlan`] actively tears journal lines, fails checkpoint and
-//! meta writes with `ENOSPC`, truncates and drops socket frames, and
-//! stalls everything at random — plus one hard kill and restart in the
-//! middle, so recovery itself runs under fault injection. The bar is
-//! the same as the quiet soak's: every campaign ends `Done` and every
-//! digest is byte-identical to its fault-free serial baseline. Chaos
-//! may cost retries and degraded writes; it may never cost coverage
-//! results.
+//! [`FaultPlan`] actively tears journal lines, fails journal and
+//! checkpoint writes with `ENOSPC`, truncates and drops socket frames,
+//! and stalls everything at random — plus one hard kill and restart in
+//! the middle, so recovery itself runs under fault injection. The bar
+//! is the same as the quiet soak's: every campaign ends `Done` and
+//! every digest is byte-identical to its fault-free serial baseline.
+//! Chaos may cost retries and degraded writes; it may never cost an
+//! acknowledged campaign or its coverage results. The soak sweeps a
+//! fixed list of plan seeds, so a failure names a seed that replays
+//! the same fault schedule.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -21,7 +23,7 @@ use pdf_serve::{
 const CAMPAIGNS: u64 = 32;
 const WORKERS: usize = 4;
 const SUBJECTS: [&str; 4] = ["arith", "dyck", "ini", "csv"];
-const CHAOS_SEED: u64 = 0xC4A0_55EE;
+const CHAOS_SEEDS: [u64; 5] = [0xC4A0_55EE, 1, 2, 5, 8];
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pdf-serve-{tag}-{}", std::process::id()));
@@ -52,30 +54,52 @@ fn patient() -> RetryPolicy {
 
 #[test]
 fn chaos_soak_matches_fault_free_baselines() {
-    let dir = tmpdir("chaos-soak");
-    let plan = Arc::new(FaultPlan::new(CHAOS_SEED, FaultSpec::SOAK));
+    for seed in CHAOS_SEEDS {
+        soak_one_seed(seed);
+    }
+}
+
+fn soak_one_seed(seed: u64) {
+    let dir = tmpdir(&format!("chaos-soak-{seed:x}"));
+    let plan = Arc::new(FaultPlan::new(seed, FaultSpec::SOAK));
     let server_cfg = || ServerConfig {
         faults: Some(Arc::clone(&plan)),
         ..ServerConfig::default()
     };
-    let daemon_cfg = || DaemonConfig::persistent(WORKERS, &dir).with_faults(Arc::clone(&plan));
+    let start = || {
+        let cfg = DaemonConfig::persistent(WORKERS, &dir).with_faults(Arc::clone(&plan));
+        let daemon = Arc::new(
+            Daemon::open(cfg).unwrap_or_else(|e| panic!("seed {seed:#x}: open failed: {e}")),
+        );
+        let server = Server::start_with(Arc::clone(&daemon), "127.0.0.1:0", server_cfg())
+            .unwrap_or_else(|e| panic!("seed {seed:#x}: server start failed: {e}"));
+        (daemon, server)
+    };
 
     // Phase 1: submit the whole burst over chaotic sockets. Every
     // submission rides the retrying client, so injected disconnects
     // and short reads cost reconnects, and the auto idempotency key
     // keeps a retried submit from forking a duplicate campaign.
-    let daemon = Arc::new(Daemon::open(daemon_cfg()).unwrap());
-    let mut server = Server::start_with(Arc::clone(&daemon), "127.0.0.1:0", server_cfg()).unwrap();
+    let (daemon, mut server) = start();
     let mut client = RetryClient::with_policy(&server.local_addr().to_string(), patient());
     let ids: Vec<u64> = (0..CAMPAIGNS)
-        .map(|i| client.submit(&spec_for(i)).unwrap())
+        .map(|i| {
+            client
+                .submit(&spec_for(i))
+                .unwrap_or_else(|e| panic!("seed {seed:#x}: submit {i} failed: {e}"))
+        })
         .collect();
 
     // Stream one campaign's progress through the chaos: the watch must
     // survive mid-stream drops by reconnecting (ticks may repeat) and
     // still deliver a terminal row.
-    let watched = client.watch(ids[0], |_| {}).unwrap();
-    assert!(watched.phase.is_terminal(), "watch returned {watched:?}");
+    let watched = client
+        .watch(ids[0], |_| {})
+        .unwrap_or_else(|e| panic!("seed {seed:#x}: watch failed: {e}"));
+    assert!(
+        watched.phase.is_terminal(),
+        "seed {seed:#x}: watch returned {watched:?}"
+    );
 
     // Phase 2: yank the power cord while the pool is busy, leaving
     // whatever torn tails and half-rotated checkpoints the fault plan
@@ -84,39 +108,54 @@ fn chaos_soak_matches_fault_free_baselines() {
     daemon.hard_stop();
     server.stop();
     drop(client);
-    let daemon = Arc::new(Daemon::open(daemon_cfg()).unwrap());
-    let mut server = Server::start_with(Arc::clone(&daemon), "127.0.0.1:0", server_cfg()).unwrap();
+    let (daemon, mut server) = start();
     let mut client = RetryClient::with_policy(&server.local_addr().to_string(), patient());
 
     // Phase 3: drain to completion (chaos still active) and hold every
     // campaign to its fault-free serial baseline.
     assert!(
         daemon.wait_idle(Duration::from_secs(240)),
-        "daemon wedged under chaos"
+        "seed {seed:#x}: daemon wedged under chaos"
     );
     for (i, id) in ids.iter().enumerate() {
-        let status = client.status(*id).unwrap();
-        assert_eq!(status.phase, Phase::Done, "campaign {id} ended {status:?}");
+        let status = client
+            .status(*id)
+            .unwrap_or_else(|e| panic!("seed {seed:#x}: status of campaign {id} failed: {e}"));
+        assert_eq!(
+            status.phase,
+            Phase::Done,
+            "seed {seed:#x}: campaign {id} ended {status:?}"
+        );
         let spec = spec_for(i as u64);
         let info = pdf_subjects::by_name(&spec.subject).unwrap();
         let base = Fleet::new(info.subject, fleet_config(&spec)).unwrap().run();
         assert_eq!(
             status.digest,
             Some(base.digest()),
-            "campaign {id} ({}/{}) diverged from its fault-free baseline",
+            "seed {seed:#x}: campaign {id} ({}/{}) diverged from its fault-free baseline",
             spec.subject,
             spec.seed
         );
-        assert_eq!(status.coverage, Some(base.coverage_digest()));
-        assert_eq!(status.spent, base.total_execs);
+        assert_eq!(
+            status.coverage,
+            Some(base.coverage_digest()),
+            "seed {seed:#x}: campaign {id} coverage"
+        );
+        assert_eq!(
+            status.spent, base.total_execs,
+            "seed {seed:#x}: campaign {id} spent"
+        );
     }
-    assert_eq!(daemon.busy_slots(), 0);
+    assert_eq!(daemon.busy_slots(), 0, "seed {seed:#x}: busy slots");
 
     // The run must have actually been chaotic, and absorbed it: faults
     // fired, and the client needed its retry loop.
-    assert!(plan.injected() > 0, "fault plan never fired");
+    assert!(
+        plan.injected() > 0,
+        "seed {seed:#x}: fault plan never fired"
+    );
     eprintln!(
-        "chaos soak: {} faults injected, {} client retries, degraded writes {}, \
+        "chaos soak seed {seed:#x}: {} faults injected, {} client retries, degraded writes {}, \
          journal lines recovered {}, checkpoints quarantined {}",
         plan.injected(),
         client.retries(),

@@ -108,16 +108,22 @@ fn hard_kill_mid_epoch_then_restart_is_digest_identical() {
         "kill cycles left no requeue edge in the journal"
     );
     for (id, base) in ids.iter().zip(&baselines) {
-        let mut phase = Phase::Queued;
-        for r in records.iter().filter(|r| r.id == *id) {
-            assert_eq!(r.from, phase, "journal gap for {id} at seq {}", r.seq);
-            phase = transition(r.from, r.event).expect("journaled transition is legal");
-            assert_eq!(phase, r.to);
+        let mut phase = None;
+        for r in records.iter().filter(|r| r.status.id == *id) {
+            phase = Some(match (phase, r.from) {
+                (None, None) => Phase::Queued,
+                (Some(p), Some(from)) => {
+                    assert_eq!(from, p, "journal gap for {id} at seq {}", r.seq);
+                    transition(from, r.event).expect("journaled transition is legal")
+                }
+                _ => panic!("seq {}: campaign {id} not opened by one submit", r.seq),
+            });
+            assert_eq!(phase, Some(r.status.phase));
             if r.event == Event::Finish {
-                assert_eq!(r.digest, Some(base.digest()));
+                assert_eq!(r.status.digest, Some(base.digest()));
             }
         }
-        assert_eq!(phase, Phase::Done);
+        assert_eq!(phase, Some(Phase::Done));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

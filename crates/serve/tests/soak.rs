@@ -184,14 +184,22 @@ fn soak_two_hundred_campaigns_with_meddling() {
     server.stop();
     daemon.shutdown();
 
-    // The journal holds a gap-free legal history for every campaign.
+    // The journal holds a gap-free legal history for every campaign,
+    // each opened by its submit record.
     let records = read_journal(&journal_path(&dir)).unwrap();
     let mut phases: BTreeMap<u64, Phase> = BTreeMap::new();
     for r in &records {
-        let phase = phases.entry(r.id).or_insert(Phase::Queued);
-        assert_eq!(r.from, *phase, "journal gap for {} at seq {}", r.id, r.seq);
-        *phase = transition(r.from, r.event).expect("journaled transition is legal");
-        assert_eq!(*phase, r.to);
+        let id = r.status.id;
+        let next = match (phases.get(&id), r.from) {
+            (None, None) => Phase::Queued,
+            (Some(&phase), Some(from)) => {
+                assert_eq!(from, phase, "journal gap for {id} at seq {}", r.seq);
+                transition(from, r.event).expect("journaled transition is legal")
+            }
+            _ => panic!("seq {}: campaign {id} not opened by one submit", r.seq),
+        };
+        assert_eq!(next, r.status.phase);
+        phases.insert(id, next);
     }
     assert_eq!(phases.len(), CAMPAIGNS as usize);
     assert!(phases.values().all(|p| p.is_terminal()));

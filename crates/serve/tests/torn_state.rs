@@ -1,16 +1,19 @@
-//! Torn-state recovery suite: deterministic corruption of each durable
-//! artifact — journal tail, checkpoint generations, campaign meta —
-//! followed by a restart that must salvage what is legal, quarantine
-//! what is not, and still reproduce the fault-free digests. These are
-//! the targeted companions to the randomized chaos soak: every
-//! recovery path in the fault model gets its own worst case here.
+//! Torn-state recovery suite: deterministic damage to each durable
+//! artifact — journal tail, checkpoint generations, a journal write
+//! refused under a submit — followed by a restart that must salvage
+//! what is legal, quarantine what is not, and still reproduce the
+//! fault-free digests. These are the targeted companions to the
+//! randomized chaos soak: every recovery path in the fault model gets
+//! its own worst case here.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
+use pdf_chaos::{FaultKind, OpKind};
 use pdf_fleet::Fleet;
 use pdf_serve::{
     checkpoint_dir, fleet_config, journal_path, prev_checkpoint_dir, read_journal, CampaignSpec,
-    Daemon, DaemonConfig, Phase,
+    Daemon, DaemonConfig, FaultPlan, FaultSpec, Phase, ServeError,
 };
 use std::time::Duration;
 
@@ -115,6 +118,21 @@ fn both_checkpoint_generations_corrupt_restarts_fresh_and_identical() {
 }
 
 #[test]
+fn manifest_less_generation_without_fallback_reruns_identically() {
+    let dir = tmpdir("torn-ck-manifest");
+    let spec = spec("csv", 40);
+    let id = run_then_kill(&dir, &spec);
+
+    // What ENOSPC at a campaign's first checkpoint leaves: a `ck/`
+    // whose manifest never reached the disk, and no older generation.
+    let _ = std::fs::remove_dir_all(prev_checkpoint_dir(&dir, id));
+    std::fs::remove_file(checkpoint_dir(&dir, id).join(pdf_fleet::MANIFEST_FILE)).unwrap();
+
+    finish(&dir, id, &spec);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn garbage_journal_tail_is_quarantined_and_history_preserved() {
     let dir = tmpdir("torn-journal");
     let spec = spec("ini", 43);
@@ -155,33 +173,39 @@ fn garbage_journal_tail_is_quarantined_and_history_preserved() {
 }
 
 #[test]
-fn corrupt_meta_is_quarantined_without_sinking_neighbors() {
-    let dir = tmpdir("torn-meta");
-    let a_spec = spec("csv", 44);
-    let b_spec = spec("dyck", 45);
-    let (a, b) = {
-        let daemon = Daemon::open(DaemonConfig::persistent(2, &dir)).unwrap();
-        let a = daemon.submit(a_spec.clone()).unwrap();
-        let b = daemon.submit(b_spec.clone()).unwrap();
-        assert!(daemon.wait_idle(Duration::from_secs(120)));
-        daemon.shutdown();
-        (a, b)
+fn enospc_on_submit_then_kill_keeps_the_acknowledged_campaign() {
+    let dir = tmpdir("enospc-submit");
+    let spec = CampaignSpec {
+        idempotency_key: Some("enospc-submit".into()),
+        ..spec("csv", 44)
     };
+    // A schedule whose first journal write hits ENOSPC and whose
+    // second goes through.
+    let rates = FaultSpec {
+        enospc_per_mille: 500,
+        ..FaultSpec::QUIET
+    };
+    let plan = (0..)
+        .map(|seed| FaultPlan::new(seed, rates))
+        .find(|p| {
+            p.schedule_for(OpKind::JournalWrite, 0).map(|f| f.kind) == Some(FaultKind::Enospc)
+                && p.schedule_for(OpKind::JournalWrite, 1).is_none()
+        })
+        .unwrap();
 
-    // Scribble over campaign a's meta file.
-    let meta = checkpoint_dir(&dir, a).parent().unwrap().join("meta");
-    std::fs::write(&meta, b"pdf-serve-meta v1\nnot a campaign line\n").unwrap();
-
-    let daemon = Daemon::open(DaemonConfig::persistent(2, &dir)).unwrap();
-    // a is quarantined and gone; b's record (and digest) is untouched.
-    assert!(daemon.status(a).is_none(), "corrupt campaign resurrected");
-    let status = daemon.status(b).unwrap();
-    assert_eq!(status.phase, Phase::Done);
-    assert_eq!(status.digest, Some(baseline(&b_spec).digest()));
+    let daemon =
+        Daemon::open(DaemonConfig::persistent(2, &dir).with_faults(Arc::new(plan))).unwrap();
+    let refused = daemon.submit(spec.clone());
     assert!(
-        daemon.registry().serve_checkpoint_quarantined.get() > 0,
-        "quarantine not counted"
+        matches!(refused, Err(ServeError::Unavailable { .. })),
+        "submit with an unwritable record answered {refused:?}"
     );
-    daemon.shutdown();
+    let id = daemon.submit(spec.clone()).unwrap();
+    // Kill right after the acknowledgement: the campaign must survive
+    // on its submit record alone.
+    daemon.hard_stop();
+    drop(daemon);
+
+    finish(&dir, id, &spec);
     let _ = std::fs::remove_dir_all(&dir);
 }

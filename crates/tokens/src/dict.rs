@@ -12,7 +12,7 @@
 use std::fmt;
 use std::path::Path;
 
-use pdf_runtime::Digest;
+use pdf_runtime::{hex_decode, hex_encode, Digest};
 
 /// An ordered, duplicate-free list of mined tokens.
 ///
@@ -64,32 +64,6 @@ impl fmt::Display for DictError {
 }
 
 impl std::error::Error for DictError {}
-
-fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn from_hex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err(format!("odd-length hex string {s:?}"));
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let bytes = s.as_bytes();
-    for pair in bytes.chunks(2) {
-        let hi = (pair[0] as char)
-            .to_digit(16)
-            .ok_or_else(|| format!("bad hex digit in {s:?}"))?;
-        let lo = (pair[1] as char)
-            .to_digit(16)
-            .ok_or_else(|| format!("bad hex digit in {s:?}"))?;
-        out.push((hi * 16 + lo) as u8);
-    }
-    Ok(out)
-}
 
 impl Dictionary {
     /// Builds a dictionary from `tokens`, dropping empty tokens and
@@ -163,7 +137,7 @@ impl Dictionary {
             self.digest()
         ));
         for t in &self.tokens {
-            out.push_str(&format!("tok hex={}\n", to_hex(t)));
+            out.push_str(&format!("tok hex={}\n", hex_encode(t)));
         }
         out
     }
@@ -212,9 +186,9 @@ impl Dictionary {
                 line: i + 1,
                 message: format!("expected `hex=` field, got {rest:?}"),
             })?;
-            let bytes = from_hex(hex).map_err(|message| DictError::Parse {
+            let bytes = hex_decode(hex).ok_or_else(|| DictError::Parse {
                 line: i + 1,
-                message,
+                message: format!("bad hex string {hex:?}"),
             })?;
             if bytes.is_empty() {
                 return Err(DictError::Parse {
@@ -333,6 +307,14 @@ mod tests {
             Dictionary::decode(text),
             Err(DictError::Parse { .. })
         ));
+        // Corrupt UTF-8 and signs are errors, never panics or misreads.
+        for hex in ["aéb", "+f", "00é"] {
+            let text = format!("pdf-dict v1\ntok hex={hex}\n");
+            assert!(matches!(
+                Dictionary::decode(&text),
+                Err(DictError::Parse { .. })
+            ));
+        }
     }
 
     #[test]
